@@ -20,9 +20,15 @@
 //!   Reported as events/sec per implementation and the
 //!   calendar/reference speedup — this is the number the ≥10x
 //!   acceptance gate reads at `n = 100 000`.
-//! * **Engine fleet** — a full `Simulation::run` over an offloaded task
-//!   fleet, reporting jobs/sec and asserting two identical runs
-//!   serialize identically (cheap determinism cross-check of the
+//! * **Engine fleet scaling** — a full `Simulation::build` + `run` over
+//!   an offloadable task fleet at 10², 10³, and 10⁴ tasks, reporting
+//!   jobs/sec at each size. WCETs shrink as the fleet grows, so the
+//!   density stays fixed, and the horizon shrinks with it, so every size
+//!   simulates about the same number of jobs: a per-job cost that grows
+//!   with the task count shows as a falling curve. Plans come from
+//!   HEU-OE (the exact DP's choice table would need ~800 MB at 10⁴
+//!   classes). The 10² fleet also runs twice and must serialize
+//!   identically (cheap determinism cross-check of the
 //!   `engine_differential` suite).
 //!
 //! A counting `#[global_allocator]` measures steady-state hold
@@ -32,7 +38,8 @@
 //! Writes a `BENCH_sim.json` summary; CI compares
 //! `calendar_ns_per_event_100000` against the committed baseline
 //! (`results/BENCH_sim_baseline.json`, ≤2x) and asserts
-//! `speedup_100000 ≥ 10`.
+//! `speedup_100000 ≥ 10`. The binary itself fails when the engine at
+//! 10⁴ tasks runs below [`MIN_ENGINE_SCALING`] of its 10² jobs/sec.
 //!
 //! Usage: `cargo run --release -p rto-bench --bin sim_bench
 //! [--ops N] [--out PATH]`
@@ -88,6 +95,15 @@ const PERIOD_BASE_MS: u64 = 200;
 const NS_PER_MS: u64 = 1_000_000;
 /// Hold trials per measurement; the best (fastest) one is reported.
 const HOLD_TRIALS: usize = 3;
+/// Engine fleet sizes of the scaling curve.
+const ENGINE_FLEETS: [usize; 3] = [100, 1_000, 10_000];
+/// Engine runs per fleet size; the fastest one is reported.
+const ENGINE_TRIALS: usize = 3;
+/// Jobs/sec at 10⁴ tasks over jobs/sec at 10² below which the binary
+/// fails. An engine whose per-job cost is independent of the task count
+/// reads about 0.6 (cache misses grow with the state); one that scanned
+/// the task list per job read 0.27 at 10³ tasks and 0.03 at 10⁴.
+const MIN_ENGINE_SCALING: f64 = 0.25;
 
 /// One reference-heap entry: the retired engine's layout verbatim —
 /// `(at, seq)` ordering key plus the full 16-byte [`Event`] payload —
@@ -280,46 +296,63 @@ fn count_hold_allocs(n: usize, ops: u64) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-/// A full-engine fleet run: `tasks` offloaded tasks with staggered
-/// periods against a perfect server. Returns (jobs/sec, serialized
-/// report).
+/// One full-engine fleet run: `tasks` offloadable tasks with periods
+/// 200–356 ms on a 4 ms grid against a perfect 20 ms server. Local and
+/// compensation WCETs are 135 ms / `tasks` (local density about 0.5 at
+/// every size) and the horizon is 200 s × 100 / `tasks`, so each run
+/// releases about 75k jobs. Times `Simulation::build` and `run`; returns
+/// (jobs/sec, serialized report).
 fn run_engine(tasks: usize) -> Result<(f64, String), Box<dyn std::error::Error>> {
     use rto_core::benefit::BenefitFunction;
     use rto_core::odm::{OdmTask, OffloadingDecisionManager};
     use rto_core::task::Task;
-    use rto_mckp::DpSolver;
+    use rto_mckp::HeuOeSolver;
     use rto_server::gpu::PerfectServer;
     use rto_sim::{ExecutionTimeModel, SimConfig, Simulation};
 
+    let n = tasks as u64;
+    let wcet = Duration::from_ms(135) / n;
     let mut odm_tasks = Vec::with_capacity(tasks);
     for i in 0..tasks {
-        // Periods 200..360 ms, staggered so releases interleave; small
-        // setup, heavy local fallback — the paper's offloadable shape.
-        let period = 200 + (i % 40) * 4;
+        let period = Duration::from_ms(200 + 4 * (i as u64 % 40));
+        // Small setup, full-size local fallback — the paper's
+        // offloadable shape.
         let task = Task::builder(i, format!("fleet-{i}"))
-            .local_wcet(Duration::from_us(1500))
-            .setup_wcet(Duration::from_us(100))
-            .compensation_wcet(Duration::from_us(1500))
-            .period(Duration::from_ms(period as u64))
+            .local_wcet(wcet)
+            .setup_wcet(wcet / 15)
+            .compensation_wcet(wcet)
+            .period(period)
             .build()?;
         let g = BenefitFunction::from_ms_points(&[(0.0, 1.0), (50.0, 9.0)])?;
         odm_tasks.push(OdmTask::new(task, g));
     }
     let odm = OffloadingDecisionManager::new(odm_tasks)?;
-    let plan = odm.decide(&DpSolver::default())?;
-    let sim = Simulation::build(odm.tasks().to_vec(), plan)?.with_server(Box::new(PerfectServer {
+    let plan = odm.decide(&HeuOeSolver::new())?;
+    let horizon = Duration::from_secs(20_000) / n;
+    let server = Box::new(PerfectServer {
         response_time: Duration::from_ms(20),
-    }));
+    });
     let sw = Stopwatch::start();
-    let report = sim.run(
-        SimConfig::for_seconds(20, 7)
-            .with_exec_time(ExecutionTimeModel::UniformFraction { min_fraction: 0.4 }),
-    )?;
+    let report = Simulation::build(odm.tasks().to_vec(), plan)?
+        .with_server(server)
+        .run(
+            SimConfig::new(horizon, 7)
+                .with_exec_time(ExecutionTimeModel::UniformFraction { min_fraction: 0.4 }),
+        )?;
     let elapsed = Duration::from_ns(sw.elapsed_ns()).as_secs_f64();
     // lint: allow(A4): released is a usize job count; the widening is lossless
     let jobs: u64 = report.per_task.iter().map(|t| t.released as u64).sum();
     let bytes = serde_json::to_string(&report)?;
     Ok((jobs as f64 / elapsed.max(1e-9), bytes))
+}
+
+/// The best jobs/sec of [`ENGINE_TRIALS`] runs at one fleet size.
+fn engine_jobs_per_sec(tasks: usize) -> Result<f64, Box<dyn std::error::Error>> {
+    let mut best = 0.0f64;
+    for _ in 0..ENGINE_TRIALS {
+        best = best.max(run_engine(tasks)?.0);
+    }
+    Ok(best)
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -400,11 +433,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hold_allocs = count_hold_allocs(100_000, ops.min(500_000));
     let allocs_per_op = hold_allocs as f64 / ops.min(500_000) as f64;
 
-    let (cal_jps, first_report) = run_engine(100)?;
-    let (_, second_report) = run_engine(100)?;
+    let (_, first_report) = run_engine(ENGINE_FLEETS[0])?;
+    let (_, second_report) = run_engine(ENGINE_FLEETS[0])?;
     let engine_deterministic = first_report == second_report;
+    let mut engine_jps = Vec::with_capacity(ENGINE_FLEETS.len());
+    for &tasks in &ENGINE_FLEETS {
+        let jps = engine_jobs_per_sec(tasks)?;
+        eprintln!("sim_bench: engine fleet of {tasks:>6} tasks  {jps:>10.0} jobs/s");
+        fields.push_str(&format!("\"engine_jobs_per_sec_{tasks}\":{jps:.0},"));
+        engine_jps.push(jps);
+    }
+    let engine_scaling = engine_jps[2] / engine_jps[0].max(1e-9);
     eprintln!(
-        "sim_bench: engine fleet  {cal_jps:.0} jobs/s  \
+        "sim_bench: engine 10^4/10^2 tasks {engine_scaling:.2}  \
          deterministic={engine_deterministic}  steady allocs/op {allocs_per_op:.4}"
     );
 
@@ -413,10 +454,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{{\"name\":\"sim\",\"ops\":{},{}",
             "\"hold_allocs\":{},",
             "\"hold_allocs_per_op\":{:.4},",
-            "\"engine_jobs_per_sec_calendar\":{:.0},",
             "\"engine_deterministic\":{}}}"
         ),
-        ops, fields, hold_allocs, allocs_per_op, cal_jps, engine_deterministic
+        ops, fields, hold_allocs, allocs_per_op, engine_deterministic
     );
     std::fs::write(out, format!("{summary}\n"))?;
     println!("{summary}");
@@ -427,6 +467,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if !engine_deterministic {
         return Err("two identical engine runs serialized differently".into());
+    }
+    if engine_scaling < MIN_ENGINE_SCALING {
+        return Err(format!(
+            "engine at 10^4 tasks runs {engine_scaling:.2}x its 10^2-task jobs/s \
+             (target: >={MIN_ENGINE_SCALING}x)"
+        )
+        .into());
     }
     if speedup_at_100k < 10.0 {
         return Err(format!(

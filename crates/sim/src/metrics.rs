@@ -78,8 +78,10 @@ pub struct SimReport {
     pub subjobs: Vec<SubJobLog>,
     /// Total processor busy time.
     pub busy_time: Duration,
-    /// Number of preemptions (segment boundaries where an unfinished
-    /// sub-job lost the processor).
+    /// Number of preemptions resumed within the horizon: over all
+    /// sub-jobs, the number of trace segments minus one. (A sub-job
+    /// preempted and never resumed counts in the
+    /// `sim_preemptions_total` metric but not here.)
     pub preemptions: usize,
     /// Snapshot of the run's metrics registry (counters, gauges,
     /// histograms). Empty when the run was not observed; reports
@@ -221,19 +223,22 @@ impl SimReport {
     }
 }
 
-/// Builds per-task statistics from raw job records.
+/// Builds per-task statistics from raw job records in one pass:
+/// `job_task[k]` is the index (into `task_ids` and `benefits`) of the
+/// task that released `jobs[k]`. Each task's sums accumulate in job
+/// order.
 pub(crate) fn aggregate(
     task_ids: &[TaskId],
     benefits: &[(f64, f64)], // per task: (local value * weight, offload level value * weight)
     jobs: &[JobRecord],
+    job_task: &[usize],
     horizon: Instant,
 ) -> Vec<TaskStats> {
-    task_ids
+    // Per task: its statistics and its response times, in job order.
+    let mut acc: Vec<(TaskStats, Vec<f64>)> = task_ids
         .iter()
-        .enumerate()
-        .map(|(i, &task_id)| {
-            let (local_value, level_value) = benefits[i];
-            let mut stats = TaskStats {
+        .map(|&task_id| {
+            let stats = TaskStats {
                 task_id,
                 released: 0,
                 accountable: 0,
@@ -246,43 +251,52 @@ pub(crate) fn aggregate(
                 realized_benefit: 0.0,
                 baseline_benefit: 0.0,
             };
-            let mut rts: Vec<f64> = Vec::new();
-            for job in jobs.iter().filter(|j| j.task_id == task_id) {
-                stats.released += 1;
-                if job.abs_deadline > horizon {
-                    continue; // censored: not judged
+            (stats, Vec::new())
+        })
+        .collect();
+    for (job, &i) in jobs.iter().zip(job_task) {
+        let (Some((stats, rts)), Some(&(local_value, level_value))) =
+            (acc.get_mut(i), benefits.get(i))
+        else {
+            continue; // the engine releases jobs only for its own tasks
+        };
+        stats.released += 1;
+        if job.abs_deadline > horizon {
+            continue; // censored: not judged
+        }
+        stats.accountable += 1;
+        stats.baseline_benefit += local_value;
+        if job.missed_deadline(horizon) {
+            stats.misses += 1;
+        }
+        match (job.completed_at, job.outcome) {
+            (Some(_), Some(outcome)) => {
+                stats.completed += 1;
+                if let Some(rt) = job.response_time() {
+                    rts.push(rt.as_ms_f64());
                 }
-                stats.accountable += 1;
-                stats.baseline_benefit += local_value;
-                if job.missed_deadline(horizon) {
-                    stats.misses += 1;
-                }
-                match (job.completed_at, job.outcome) {
-                    (Some(_), Some(outcome)) => {
-                        stats.completed += 1;
-                        if let Some(rt) = job.response_time() {
-                            rts.push(rt.as_ms_f64());
-                        }
-                        match outcome {
-                            Outcome::Local => {
-                                stats.local_jobs += 1;
-                                stats.realized_benefit += local_value;
-                            }
-                            Outcome::Remote => {
-                                stats.remote_jobs += 1;
-                                stats.realized_benefit += level_value;
-                            }
-                            Outcome::Compensated => {
-                                stats.compensated_jobs += 1;
-                                stats.realized_benefit += local_value;
-                            }
-                        }
+                match outcome {
+                    Outcome::Local => {
+                        stats.local_jobs += 1;
+                        stats.realized_benefit += local_value;
                     }
-                    _ => {
-                        // Unfinished accountable job: no benefit.
+                    Outcome::Remote => {
+                        stats.remote_jobs += 1;
+                        stats.realized_benefit += level_value;
+                    }
+                    Outcome::Compensated => {
+                        stats.compensated_jobs += 1;
+                        stats.realized_benefit += local_value;
                     }
                 }
             }
+            _ => {
+                // Unfinished accountable job: no benefit.
+            }
+        }
+    }
+    acc.into_iter()
+        .map(|(mut stats, rts)| {
             stats.response_time = Summary::of(&rts);
             stats
         })
@@ -310,6 +324,17 @@ mod tests {
 
     fn at(ms: u64) -> Instant {
         Instant::from_ns(ms * 1_000_000)
+    }
+
+    /// [`aggregate`] over jobs whose task ids equal their task indexes.
+    fn aggregate_by_id(
+        task_ids: &[TaskId],
+        benefits: &[(f64, f64)],
+        jobs: &[JobRecord],
+        horizon: Instant,
+    ) -> Vec<TaskStats> {
+        let job_task: Vec<usize> = jobs.iter().map(|j| j.task_id.0).collect();
+        aggregate(task_ids, benefits, jobs, &job_task, horizon)
     }
 
     fn job(
@@ -341,7 +366,7 @@ mod tests {
             job(2, 0, 200, 300, None, None), // unfinished, deadline in horizon: miss
             job(3, 0, 900, 1100, None, None), // censored
         ];
-        let stats = aggregate(&[TaskId(0)], &[(2.0, 10.0)], &jobs, at(1000));
+        let stats = aggregate_by_id(&[TaskId(0)], &[(2.0, 10.0)], &jobs, at(1000));
         let s = &stats[0];
         assert_eq!(s.released, 4);
         assert_eq!(s.accountable, 3);
@@ -362,7 +387,7 @@ mod tests {
             job(0, 0, 0, 100, Some(50), Some(Outcome::Remote)),
             job(1, 1, 0, 100, Some(60), Some(Outcome::Local)),
         ];
-        let per_task = aggregate(
+        let per_task = aggregate_by_id(
             &[TaskId(0), TaskId(1)],
             &[(1.0, 5.0), (2.0, 0.0)],
             &jobs,
@@ -466,7 +491,7 @@ mod tests {
     #[test]
     fn remote_success_rate_none_without_offloads() {
         let jobs = vec![job(0, 0, 0, 100, Some(50), Some(Outcome::Local))];
-        let stats = aggregate(&[TaskId(0)], &[(1.0, 0.0)], &jobs, at(1000));
+        let stats = aggregate_by_id(&[TaskId(0)], &[(1.0, 0.0)], &jobs, at(1000));
         assert_eq!(stats[0].remote_success_rate(), None);
     }
 
@@ -477,21 +502,21 @@ mod tests {
             job(0, 0, 0, 100, Some(50), Some(Outcome::Remote)),
             job(1, 0, 100, 200, Some(150), Some(Outcome::Remote)),
         ];
-        let stats = aggregate(&[TaskId(0)], &[(1.0, 4.0)], &all_remote, at(1000));
+        let stats = aggregate_by_id(&[TaskId(0)], &[(1.0, 4.0)], &all_remote, at(1000));
         assert_eq!(stats[0].remote_success_rate(), Some(1.0));
         // Every offload fell back to compensation: rate 0.
         let all_comp = vec![
             job(0, 0, 0, 100, Some(90), Some(Outcome::Compensated)),
             job(1, 0, 100, 200, Some(190), Some(Outcome::Compensated)),
         ];
-        let stats = aggregate(&[TaskId(0)], &[(1.0, 4.0)], &all_comp, at(1000));
+        let stats = aggregate_by_id(&[TaskId(0)], &[(1.0, 4.0)], &all_comp, at(1000));
         assert_eq!(stats[0].remote_success_rate(), Some(0.0));
         // Mixed local + remote: locals do not dilute the rate.
         let mixed = vec![
             job(0, 0, 0, 100, Some(50), Some(Outcome::Local)),
             job(1, 0, 100, 200, Some(150), Some(Outcome::Remote)),
         ];
-        let stats = aggregate(&[TaskId(0)], &[(1.0, 4.0)], &mixed, at(1000));
+        let stats = aggregate_by_id(&[TaskId(0)], &[(1.0, 4.0)], &mixed, at(1000));
         assert_eq!(stats[0].remote_success_rate(), Some(1.0));
     }
 
@@ -503,7 +528,7 @@ mod tests {
             job(1, 0, 100, 200, Some(190), Some(Outcome::Compensated)), // local value
             job(2, 0, 900, 1100, None, None),                   // censored
         ];
-        let per_task = aggregate(&[TaskId(0)], &[(2.0, 8.0)], &jobs, at(1000));
+        let per_task = aggregate_by_id(&[TaskId(0)], &[(2.0, 8.0)], &jobs, at(1000));
         // baseline = 2 accountable × 2.0; realized = 8 + 2.
         assert!((per_task[0].baseline_benefit - 4.0).abs() < 1e-12);
         assert!((per_task[0].realized_benefit - 10.0).abs() < 1e-12);
@@ -526,7 +551,7 @@ mod tests {
         // Zero-valued local quality but realized remote benefit: the
         // ratio degenerates to +inf rather than panicking or NaN.
         let jobs = vec![job(0, 0, 0, 100, Some(50), Some(Outcome::Remote))];
-        let per_task = aggregate(&[TaskId(0)], &[(0.0, 5.0)], &jobs, at(1000));
+        let per_task = aggregate_by_id(&[TaskId(0)], &[(0.0, 5.0)], &jobs, at(1000));
         let report = SimReport {
             horizon: Duration::from_ms(1000),
             seed: 0,
@@ -553,7 +578,7 @@ mod tests {
             job(0, 0, 0, 100, Some(80), Some(Outcome::Remote)),
             job(1, 0, 100, 200, None, None),
         ];
-        let per_task = aggregate(&[TaskId(0)], &[(2.0, 10.0)], &jobs, at(1000));
+        let per_task = aggregate_by_id(&[TaskId(0)], &[(2.0, 10.0)], &jobs, at(1000));
         let report = SimReport {
             horizon: Duration::from_ms(1000),
             seed: 42,

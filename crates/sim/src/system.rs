@@ -13,7 +13,7 @@ use rto_obs::{span, Counter, Histogram, Obs, Phase, TraceEvent};
 use rto_server::gpu::{BlackHoleServer, OffloadRequest, OffloadServer};
 use rto_stats::Rng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Maps the simulator's sub-job kind onto the observability phase tag.
 fn phase_of(kind: SubJobKind) -> Phase {
@@ -241,20 +241,32 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadConfig`] when a task has no plan entry or
-    /// the task list is empty.
+    /// Returns [`SimError::BadConfig`] when a task has no plan entry,
+    /// two tasks share an id, or the task list is empty.
     pub fn build(tasks: Vec<OdmTask>, plan: OffloadingPlan) -> Result<Self, SimError> {
         if tasks.is_empty() {
             return Err(SimError::config("no tasks"));
         }
+        // One id → decision map for the whole plan, so binding costs
+        // O(tasks · log tasks) rather than a plan scan per task. The
+        // first entry for an id wins, as with `OffloadingPlan::get`;
+        // each entry binds one task, so a second task with the same id
+        // finds it taken.
+        let mut unbound: BTreeMap<TaskId, Option<Decision>> = BTreeMap::new();
+        for entry in plan.decisions() {
+            unbound.entry(entry.task_id).or_insert(Some(entry.decision));
+        }
         let mut modes = Vec::with_capacity(tasks.len());
         let mut benefits = Vec::with_capacity(tasks.len());
         for t in &tasks {
-            let entry = plan
-                .get(t.task().id())
-                .ok_or_else(|| SimError::config(format!("no plan entry for {}", t.task().id())))?;
+            let id = t.task().id();
+            let decision = unbound
+                .get_mut(&id)
+                .ok_or_else(|| SimError::config(format!("no plan entry for {id}")))?
+                .take()
+                .ok_or_else(|| SimError::config(format!("duplicate task id {id}")))?;
             let local_value = t.benefit().local_value() * t.weight();
-            match entry.decision {
+            match decision {
                 Decision::Local => {
                     modes.push(Mode::Local);
                     benefits.push((local_value, 0.0));
@@ -357,10 +369,12 @@ impl Simulation {
             ready: BinaryHeap::new(),
             ready_seq: 0,
             jobs: Vec::new(),
+            job_task: Vec::new(),
             subjobs: Vec::new(),
             subjob_slot: Vec::new(),
             trace: Vec::new(),
             busy: Duration::ZERO,
+            preemptions: 0,
             exec_rng,
             release_rng,
             obs: self.obs,
@@ -385,6 +399,8 @@ struct Ready {
     job_id: usize,
     kind: SubJobKind,
     remaining: Duration,
+    /// Whether the sub-job has already executed a slice.
+    started: bool,
 }
 
 impl Ord for Ready {
@@ -427,6 +443,9 @@ struct Engine {
     ready: BinaryHeap<Reverse<Ready>>,
     ready_seq: u64,
     jobs: Vec<JobRecord>,
+    /// The releasing task's index for each job, pushed in lockstep with
+    /// `jobs`, so a job's task is one array read. Never serialized.
+    job_task: Vec<usize>,
     subjobs: Vec<SubJobLog>,
     /// Dense sub-job lookup: `subjob_slot[job_id][kind.slot()]` is the
     /// index into `subjobs`, or `usize::MAX` while unreleased. One row
@@ -435,6 +454,10 @@ struct Engine {
     subjob_slot: Vec<[usize; SubJobKind::COUNT]>,
     trace: Vec<Segment>,
     busy: Duration,
+    /// Resumptions of a preempted sub-job, counted as they happen: each
+    /// opens one more segment for its sub-job, so this equals the sum
+    /// over sub-jobs of (segments − 1).
+    preemptions: usize,
     exec_rng: Rng,
     release_rng: Rng,
     obs: Obs,
@@ -494,6 +517,9 @@ impl Engine {
                             );
                             self.m.preemptions.inc();
                         }
+                        if entry.started {
+                            self.preemptions += 1;
+                        }
                         self.obs.emit_in(
                             self.clock.as_ns(),
                             span::phase_ctx(entry.job_id, phase_of(entry.kind)),
@@ -529,6 +555,7 @@ impl Engine {
                         self.running = None;
                         self.complete_subjob(entry.job_id, entry.kind, self.clock)?;
                     } else {
+                        entry.started = true;
                         self.ready.push(Reverse(entry));
                     }
                     if self.clock >= self.horizon {
@@ -577,7 +604,9 @@ impl Engine {
             setup_finished_at: None,
             response_at: None,
         });
-        // One dense sub-job-lookup row per job, in lockstep with `jobs`.
+        // One task index and one dense sub-job-lookup row per job, in
+        // lockstep with `jobs`.
+        self.job_task.push(task_index);
         self.subjob_slot.push([usize::MAX; SubJobKind::COUNT]);
         self.obs.emit_in(
             t0.as_ns(),
@@ -702,13 +731,10 @@ impl Engine {
     }
 
     fn task_index_of(&self, job_id: usize) -> Result<usize, SimError> {
-        let task_id = self.jobs[job_id].task_id;
-        self.tasks
-            .iter()
-            .position(|x| x.task().id() == task_id)
-            .ok_or_else(|| {
-                SimError::invariant(format!("job {job_id} references unknown task {task_id}"))
-            })
+        self.job_task
+            .get(job_id)
+            .copied()
+            .ok_or_else(|| SimError::invariant(format!("job {job_id} was never released")))
     }
 
     /// Makes a sub-job ready; zero-work sub-jobs complete instantly.
@@ -762,6 +788,7 @@ impl Engine {
                 job_id,
                 kind,
                 remaining: work,
+                started: false,
             }));
             self.m.ready_queue_depth.record(self.ready.len() as u64);
             Ok(())
@@ -879,59 +906,47 @@ impl Engine {
     }
 
     fn report(&mut self) -> SimReport {
-        // Preemptions: every extra (merged) segment of a sub-job implies
-        // one earlier preemption.
-        // BTreeMap so the preemption fold visits keys in a fixed order
-        // (hash iteration order is per-process and trips A6).
-        let mut seg_counts: std::collections::BTreeMap<(usize, SubJobKind), usize> =
-            std::collections::BTreeMap::new();
-        for seg in &self.trace {
-            *seg_counts.entry((seg.job_id, seg.kind)).or_insert(0) += 1;
-        }
-        let preemptions = seg_counts.values().map(|&c| c - 1).sum();
-
         // Deadline verdicts for accountable jobs, in deadline order so
         // the trace stays monotonic. A verdict is final at the deadline
-        // for completed jobs and at the horizon for unfinished ones.
-        let mut verdicts: Vec<(u64, usize)> = self
-            .jobs
-            .iter()
-            .filter(|j| j.abs_deadline <= self.horizon)
-            .map(|j| {
-                let ts = match j.completed_at {
-                    Some(done) => done.max(j.abs_deadline).min(self.horizon),
-                    None => self.horizon,
+        // for completed jobs and at the horizon for unfinished ones. The
+        // list only orders trace records, so it is built only for a sink
+        // that wants them.
+        if self.obs.tracing_enabled() {
+            let mut verdicts: Vec<(u64, usize)> = self
+                .jobs
+                .iter()
+                .filter(|j| j.abs_deadline <= self.horizon)
+                .map(|j| {
+                    let ts = match j.completed_at {
+                        Some(done) => done.max(j.abs_deadline).min(self.horizon),
+                        None => self.horizon,
+                    };
+                    (ts.as_ns(), j.job_id)
+                })
+                .collect();
+            verdicts.sort_unstable();
+            for (ts_ns, job_id) in verdicts {
+                let job = &self.jobs[job_id];
+                let task_id = job.task_id.0;
+                let event = if job.missed_deadline(self.horizon) {
+                    TraceEvent::DeadlineMissed { job_id, task_id }
+                } else {
+                    TraceEvent::DeadlineMet { job_id, task_id }
                 };
-                (ts.as_ns(), j.job_id)
-            })
-            .collect();
-        verdicts.sort_unstable();
-        for (ts_ns, job_id) in verdicts {
-            let job = &self.jobs[job_id];
-            if job.missed_deadline(self.horizon) {
-                self.obs.emit_in(
-                    ts_ns,
-                    span::job_ctx(job_id),
-                    TraceEvent::DeadlineMissed {
-                        job_id,
-                        task_id: job.task_id.0,
-                    },
-                );
-                self.m.misses.inc();
-            } else {
-                self.obs.emit_in(
-                    ts_ns,
-                    span::job_ctx(job_id),
-                    TraceEvent::DeadlineMet {
-                        job_id,
-                        task_id: job.task_id.0,
-                    },
-                );
+                self.obs.emit_in(ts_ns, span::job_ctx(job_id), event);
             }
         }
 
         let task_ids: Vec<TaskId> = self.tasks.iter().map(|t| t.task().id()).collect();
-        let per_task = aggregate(&task_ids, &self.benefits, &self.jobs, self.horizon);
+        let per_task = aggregate(
+            &task_ids,
+            &self.benefits,
+            &self.jobs,
+            &self.job_task,
+            self.horizon,
+        );
+        let misses: usize = per_task.iter().map(|t| t.misses).sum();
+        self.m.misses.add(misses as u64);
         SimReport {
             horizon: self.config.horizon,
             seed: self.config.seed,
@@ -940,7 +955,7 @@ impl Engine {
             trace: std::mem::take(&mut self.trace),
             subjobs: std::mem::take(&mut self.subjobs),
             busy_time: self.busy,
-            preemptions,
+            preemptions: self.preemptions,
             metrics: self.obs.metrics().snapshot(),
         }
     }
@@ -1208,10 +1223,20 @@ mod tests {
         let (tasks, plan) = plan_for(vec![OdmTask::new(t, g.clone())]);
         assert!(Simulation::build(vec![], plan.clone()).is_err());
         // Plan missing a task.
-        let extra = OdmTask::new(offloadable_task(7, 10, 2, 10, 100), g);
-        let mut both = tasks;
+        let extra = OdmTask::new(offloadable_task(7, 10, 2, 10, 100), g.clone());
+        let mut both = tasks.clone();
         both.push(extra);
-        assert!(Simulation::build(both, plan).is_err());
+        assert!(Simulation::build(both, plan.clone()).is_err());
+        // Two tasks sharing an id would both bind to its one plan entry,
+        // and the report would credit each with both tasks' jobs.
+        let twin = OdmTask::new(offloadable_task(0, 20, 2, 20, 200), g);
+        let mut twins = tasks;
+        twins.push(twin);
+        let err = Simulation::build(twins, plan).unwrap_err();
+        assert!(
+            matches!(err, SimError::BadConfig(ref msg) if msg.contains("duplicate task id")),
+            "expected a duplicate-id config error, got {err:?}"
+        );
     }
 
     #[test]
@@ -1271,10 +1296,12 @@ mod tests {
             ready: BinaryHeap::new(),
             ready_seq: 0,
             jobs: Vec::new(),
+            job_task: Vec::new(),
             subjobs: Vec::new(),
             subjob_slot: Vec::new(),
             trace: Vec::new(),
             busy: Duration::ZERO,
+            preemptions: 0,
             exec_rng: Rng::seed_from(0),
             release_rng: Rng::seed_from(1),
             obs,
@@ -1289,6 +1316,7 @@ mod tests {
             job_id: 0,
             kind: SubJobKind::LocalWhole,
             remaining: Duration::ZERO,
+            started: false,
         }));
         let err = engine.run().unwrap_err();
         assert!(
@@ -1310,6 +1338,7 @@ mod tests {
             job_id: 0,
             kind: SubJobKind::Setup,
             remaining: ms(1),
+            started: false,
         };
         let b = Ready {
             priority_key: 10,
@@ -1318,6 +1347,7 @@ mod tests {
             job_id: 7,
             kind: SubJobKind::Compensation,
             remaining: ms(2),
+            started: true,
         };
         assert_eq!(a.cmp(&b), Ordering::Equal);
         assert_eq!(a, b);

@@ -7,16 +7,26 @@
 //! engine — is done: the heap soaked as the differential oracle and
 //! has been deleted. The event-queue unit tests keep a test-local
 //! reference heap for pop-order cross-checks.)
+//!
+//! The same runs check the report's bookkeeping against the simple
+//! quadratic code it replaced, kept here as test oracles: the online
+//! preemption count against a fold over the trace's segments, and the
+//! one-pass per-task statistics against a per-task filter over all
+//! jobs.
 
 use proptest::prelude::*;
 use rto_core::benefit::BenefitFunction;
-use rto_core::odm::{OdmTask, OffloadingDecisionManager};
+use rto_core::odm::{Decision, OdmTask, OffloadingDecisionManager, OffloadingPlan};
 use rto_core::task::Task;
-use rto_core::time::Duration;
+use rto_core::time::{Duration, Instant};
 use rto_mckp::DpSolver;
 use rto_server::gpu::PerfectServer;
 use rto_server::Scenario;
+use rto_sim::job::{JobRecord, Outcome, Segment, SubJobKind};
+use rto_sim::metrics::TaskStats;
 use rto_sim::prelude::*;
+use rto_stats::Summary;
+use std::collections::BTreeMap;
 
 fn ms(v: u64) -> Duration {
     Duration::from_ms(v)
@@ -41,6 +51,85 @@ fn build_system(
     let odm = OffloadingDecisionManager::new(tasks).ok()?;
     let plan = odm.decide(&DpSolver::default()).ok()?;
     Some((odm.tasks().to_vec(), plan))
+}
+
+/// Oracle: every extra (merged) segment of a sub-job implies one
+/// earlier preemption.
+fn preemptions_by_segment_fold(trace: &[Segment]) -> usize {
+    let mut seg_counts: BTreeMap<(usize, SubJobKind), usize> = BTreeMap::new();
+    for seg in trace {
+        *seg_counts.entry((seg.job_id, seg.kind)).or_insert(0) += 1;
+    }
+    seg_counts.values().map(|&c| c - 1).sum()
+}
+
+/// Oracle: per-task statistics by filtering all jobs once per task.
+fn per_task_by_filter(
+    tasks: &[OdmTask],
+    plan: &OffloadingPlan,
+    jobs: &[JobRecord],
+    horizon: Instant,
+) -> Vec<TaskStats> {
+    tasks
+        .iter()
+        .map(|t| {
+            let task_id = t.task().id();
+            let local_value = t.benefit().local_value() * t.weight();
+            let level_value = match plan.get(task_id).map(|e| e.decision) {
+                Some(Decision::Offload { level, .. }) => {
+                    t.benefit().points()[level].value * t.weight()
+                }
+                _ => 0.0,
+            };
+            let mut stats = TaskStats {
+                task_id,
+                released: 0,
+                accountable: 0,
+                completed: 0,
+                misses: 0,
+                local_jobs: 0,
+                remote_jobs: 0,
+                compensated_jobs: 0,
+                response_time: None,
+                realized_benefit: 0.0,
+                baseline_benefit: 0.0,
+            };
+            let mut rts: Vec<f64> = Vec::new();
+            for job in jobs.iter().filter(|j| j.task_id == task_id) {
+                stats.released += 1;
+                if job.abs_deadline > horizon {
+                    continue;
+                }
+                stats.accountable += 1;
+                stats.baseline_benefit += local_value;
+                if job.missed_deadline(horizon) {
+                    stats.misses += 1;
+                }
+                if let (Some(_), Some(outcome)) = (job.completed_at, job.outcome) {
+                    stats.completed += 1;
+                    if let Some(rt) = job.response_time() {
+                        rts.push(rt.as_ms_f64());
+                    }
+                    match outcome {
+                        Outcome::Local => {
+                            stats.local_jobs += 1;
+                            stats.realized_benefit += local_value;
+                        }
+                        Outcome::Remote => {
+                            stats.remote_jobs += 1;
+                            stats.realized_benefit += level_value;
+                        }
+                        Outcome::Compensated => {
+                            stats.compensated_jobs += 1;
+                            stats.realized_benefit += local_value;
+                        }
+                    }
+                }
+            }
+            stats.response_time = Summary::of(&rts);
+            stats
+        })
+        .collect()
 }
 
 fn system_strategy() -> impl Strategy<Value = Vec<(u64, u64, u64, u64, u64)>> {
@@ -118,6 +207,13 @@ proptest! {
             let first_bytes = serde_json::to_string(&first).expect("serializes");
             let second_bytes = serde_json::to_string(&second).expect("serializes");
             prop_assert_eq!(first_bytes, second_bytes, "reruns serialized differently");
+            // The online bookkeeping against the quadratic oracles.
+            prop_assert_eq!(first.preemptions, preemptions_by_segment_fold(&first.trace));
+            let horizon = Instant::ZERO + first.horizon;
+            prop_assert_eq!(
+                &first.per_task,
+                &per_task_by_filter(&tasks, &plan, &first.jobs, horizon)
+            );
         }
     }
 }

@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
+echo "==> perfbench tests (own workspace; tracing leaves SimReports byte-identical)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> rto-lint --workspace (domain invariants L1-L6, deny on findings)"
 cargo run -p rto-lint --offline -q -- --workspace
 
@@ -103,11 +106,12 @@ print(f"    disabled path: {b['disabled_ns_per_event']:.1f} ns/event "
 assert ratio <= 2.0, f"disabled-path overhead regressed {ratio:.2f}x > 2x vs baseline"
 EOF
 
-echo "==> sim_bench: event-engine throughput (>=10x at 100k, <=1% hold allocs, <=2x committed baseline)"
+echo "==> sim_bench: event-engine throughput (>=10x at 100k, <=1% hold allocs, engine scaling, <=2x committed baseline)"
 # The binary itself fails if the calendar queue is under 10x the
 # bench-local reference heap at 100k concurrent events, if steady-state
-# holds allocate on more than 1% of operations, or if two identical
-# engine runs diverge.
+# holds allocate on more than 1% of operations, if two identical
+# engine runs diverge, or if the engine at 10^4 tasks runs below 0.25x
+# its 10^2-task jobs/s.
 cargo run --release -p rto-bench --offline -q --bin sim_bench -- --out BENCH_sim.json
 python3 - <<'EOF'
 import json
