@@ -26,7 +26,7 @@
 //!   density stays fixed, and the horizon shrinks with it, so every size
 //!   simulates about the same number of jobs: a per-job cost that grows
 //!   with the task count shows as a falling curve. Plans come from
-//!   HEU-OE (the exact DP's choice table would need ~800 MB at 10⁴
+//!   HEU-OE (the exact DP's choice table would need ~400 MB at 10⁴
 //!   classes). The 10² fleet also runs twice and must serialize
 //!   identically (cheap determinism cross-check of the
 //!   `engine_differential` suite).

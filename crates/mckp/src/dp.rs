@@ -13,8 +13,27 @@
 //!   10⁻⁴ of the capacity, which is far below the granularity of the
 //!   paper's benefit functions.
 //!
-//! Runtime is `O(total_items × resolution)`; memory is
-//! `O(num_classes × resolution)` for choice reconstruction.
+//! # Cost
+//!
+//! Each class is dominance-pruned and each surviving item is put on the
+//! grid once (one `scale` per item). The DP then makes one pass per item
+//! over a row of `resolution + 1` budgets, so the time is
+//! `O(total_items × resolution)`. Memory is a flat choice table of
+//! 4 B × classes × (resolution + 1) — one `u32` item index per class and
+//! budget, for the reconstruction — plus two `f64` rows of
+//! `resolution + 1` budgets, reused across classes. At 1000 classes and the
+//! default resolution the table is 40 MB.
+//!
+//! # Ties
+//!
+//! Among equally profitable choices at one budget, the DP keeps the first
+//! strictly better item in the class's pruned (weight-ascending) order.
+//! The passes run item-major — every budget for item 0, then every budget
+//! for item 1 — so each budget still sees its class's items in that
+//! order, and a later item replaces an earlier one only when it is
+//! strictly better. Every budget therefore ends with the item a
+//! budget-major scan (for each budget, every item) would keep;
+//! `tests/dp_oracle.rs` checks the two against each other.
 
 use crate::error::SolveError;
 use crate::instance::MckpInstance;
@@ -34,6 +53,9 @@ impl DpSolver {
 
     /// Creates a solver with the given weight-grid resolution.
     ///
+    /// A resolution whose table cannot be allocated is not rejected here;
+    /// [`Solver::solve`] returns [`SolveError::TooLarge`] for it.
+    ///
     /// # Panics
     ///
     /// Panics if `resolution == 0`.
@@ -49,25 +71,26 @@ impl DpSolver {
 
     /// Scales a weight onto the grid, rounding up (safe side).
     ///
-    /// Weights that do not fit the capacity at all map to `resolution + 1`
+    /// Returns `None` for a weight that does not fit the capacity at all
     /// (never selectable).
-    fn scale(&self, weight: f64, capacity: f64) -> usize {
+    fn scale(&self, weight: f64, capacity: f64) -> Option<usize> {
         // Ordered comparisons, not `==`: weights/capacities are
         // validated non-negative, and lint L2 bans f64 equality in
         // density math.
         if weight <= 0.0 {
-            return 0;
+            return Some(0);
         }
         if capacity <= 0.0 || weight > capacity {
-            return self.resolution + 1;
+            return None;
         }
         // Clamp before the cast: the guards above pin the ratio into
-        // (0, 1], but the interval checker (A4) reasons per-variable, and
-        // a grid beyond u32::MAX cells could never be allocated anyway.
+        // (0, 1], but the interval checker (A4) reasons per-variable. The
+        // bound is 2^53, the end of the exactly representable integers; a
+        // grid that wide could never be allocated, so it never binds.
         let scaled = (weight / capacity * self.resolution as f64)
             .ceil()
-            .clamp(0.0, u32::MAX as f64) as usize;
-        scaled.min(self.resolution + 1)
+            .clamp(0.0, 9_007_199_254_740_992.0) as usize;
+        (scaled <= self.resolution).then_some(scaled)
     }
 }
 
@@ -79,76 +102,73 @@ impl Default for DpSolver {
     }
 }
 
+/// `len` copies of `value`, or `None` when the vector cannot be allocated.
+fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, value);
+    Some(v)
+}
+
 impl Solver for DpSolver {
     // analyze: hot-path
     fn solve(&self, instance: &MckpInstance) -> Result<Selection, SolveError> {
         let res = self.resolution;
         let capacity = instance.capacity();
         let classes = instance.classes();
+        let too_large = || {
+            // analyze: allow(A7): error path only, formatted once when the table cannot be sized or indexed
+            SolveError::TooLarge(format!(
+                "dp choice table of {} x ({res} + 1) cells",
+                classes.len()
+            ))
+        };
+        let width = res.checked_add(1).ok_or_else(too_large)?;
+        let cells = classes.len().checked_mul(width).ok_or_else(too_large)?;
 
-        // Dominance-pruned item indices per class (exactness preserved).
-        // analyze: allow(A7): one prune pass per solve, before the DP loops
-        let pruned: Vec<Vec<usize>> = classes.iter().map(|c| dominance_filter(c)).collect();
-
-        // dp[c] = max profit over processed classes with scaled weight <= c.
+        // dp[c] = max profit over the processed classes with scaled weight
+        // <= c. Before any class, every budget holds profit 0.
         const NEG: f64 = f64::NEG_INFINITY;
-        // analyze: allow(A7): DP row allocated once per solve, reused across classes
-        let mut dp: Vec<f64> = vec![NEG; res + 1];
-        // choice[k][c] = index (into pruned[k]) of the item chosen at class
-        // k when the remaining budget is c; usize::MAX = unreachable.
-        let mut choice: Vec<Vec<usize>> = Vec::with_capacity(classes.len());
+        let mut dp: Vec<f64> = filled(width, 0.0).ok_or_else(too_large)?;
+        let mut next: Vec<f64> = filled(width, NEG).ok_or_else(too_large)?;
+        // Row k of the table: index (into items[k]) of the item class k
+        // takes at each remaining budget; u32::MAX = unreachable.
+        let mut table: Vec<u32> = filled(cells, u32::MAX).ok_or_else(too_large)?;
 
-        // First class: best item with scaled weight <= c (prefix max).
-        {
-            // analyze: allow(A7): one choice row per class — O(classes) setup, not per-cell work
-            let mut ch = vec![usize::MAX; res + 1];
-            for (pi, &item_idx) in pruned[0].iter().enumerate() {
-                let item = classes[0][item_idx];
-                let sw = self.scale(item.weight, capacity);
-                if sw > res {
-                    continue;
-                }
-                if item.profit > dp[sw] {
-                    dp[sw] = item.profit;
-                    ch[sw] = pi;
-                }
-            }
-            // Make dp monotone in c.
-            for c in 1..=res {
-                if dp[c - 1] > dp[c] {
-                    dp[c] = dp[c - 1];
-                    ch[c] = ch[c - 1];
-                }
-            }
-            choice.push(ch);
-        }
+        // Each class's dominance-pruned items as (item index, scaled weight,
+        // profit). Pruned items are weight-sorted, so the ones that do not
+        // fit the grid are a tail, and dropping it keeps the order.
+        let items: Vec<Vec<(usize, usize, f64)>> = classes
+            .iter()
+            .map(|class| {
+                dominance_filter(class)
+                    .into_iter()
+                    .map_while(|i| {
+                        let item = class[i];
+                        Some((i, self.scale(item.weight, capacity)?, item.profit))
+                    })
+                    // analyze: allow(A7): one item list per class, built once per solve
+                    .collect()
+            })
+            // analyze: allow(A7): one prune-and-scale pass per solve, before the DP loops
+            .collect();
 
-        for (k, class) in classes.iter().enumerate().skip(1) {
-            // analyze: allow(A7): fresh DP row per class — O(classes) allocations per solve
-            let mut next = vec![NEG; res + 1];
-            // analyze: allow(A7): one choice row per class — O(classes) setup, not per-cell work
-            let mut ch = vec![usize::MAX; res + 1];
-            for c in 0..=res {
-                for (pi, &item_idx) in pruned[k].iter().enumerate() {
-                    let item = class[item_idx];
-                    let sw = self.scale(item.weight, capacity);
-                    if sw > c {
-                        // pruned items are weight-sorted; the rest are heavier
-                        break;
-                    }
-                    let base = dp[c - sw];
-                    if base == NEG {
-                        continue;
-                    }
-                    let value = base + item.profit;
-                    if value > next[c] {
-                        next[c] = value;
-                        ch[c] = pi;
+        for (choice, class) in table.chunks_exact_mut(width).zip(&items) {
+            let len = u32::try_from(class.len()).map_err(|_| too_large())?;
+            for (pi, &(_, sw, profit)) in (0..len).zip(class) {
+                // next[c] = max(next[c], dp[c - sw] + profit), keeping the
+                // first strictly better item; an unreachable dp[c - sw] is
+                // -inf and never wins.
+                for ((cell, ch), &base) in next[sw..].iter_mut().zip(&mut choice[sw..]).zip(&dp) {
+                    let value = base + profit;
+                    if value > *cell {
+                        *cell = value;
+                        *ch = pi;
                     }
                 }
             }
-            dp = next;
-            choice.push(ch);
+            std::mem::swap(&mut dp, &mut next);
+            next.fill(NEG);
         }
 
         if dp[res] == NEG {
@@ -159,12 +179,15 @@ impl Solver for DpSolver {
         let mut budget = res;
         // analyze: allow(A7): reconstruction buffer built once per solve
         let mut picks = vec![0usize; classes.len()];
-        for k in (0..classes.len()).rev() {
-            let pi = choice[k][budget];
-            debug_assert_ne!(pi, usize::MAX, "reconstruction hit unreachable cell");
-            let item_idx = pruned[k][pi];
-            picks[k] = item_idx;
-            let sw = self.scale(classes[k][item_idx].weight, capacity);
+        for ((pick, choice), class) in picks
+            .iter_mut()
+            .zip(table.chunks_exact(width))
+            .zip(&items)
+            .rev()
+        {
+            let pi = usize::try_from(choice[budget]).map_err(|_| too_large())?;
+            let (item_idx, sw, _) = class[pi];
+            *pick = item_idx;
             budget -= sw;
         }
 
@@ -314,6 +337,25 @@ mod tests {
             DpSolver::default().resolution(),
             DpSolver::DEFAULT_RESOLUTION
         );
+    }
+
+    #[test]
+    fn unallocatable_resolutions_are_too_large() {
+        let inst = MckpInstance::new(vec![vec![Item::new(0.5, 1.0)]], 1.0).unwrap();
+        // `resolution + 1` overflows.
+        let err = DpSolver::with_resolution(usize::MAX)
+            .solve(&inst)
+            .unwrap_err();
+        assert!(matches!(err, SolveError::TooLarge(_)), "{err:?}");
+        // 2^62 + 1 budgets of 8 bytes overflow `isize`, so the request
+        // fails before any allocation.
+        let err = DpSolver::with_resolution(1 << 62).solve(&inst).unwrap_err();
+        match err {
+            SolveError::TooLarge(msg) => {
+                assert!(msg.contains("1 x (4611686018427387904 + 1) cells"), "{msg}")
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 
     #[test]

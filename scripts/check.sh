@@ -19,6 +19,9 @@ cargo test --workspace --offline -q
 echo "==> perfbench tests (own workspace; tracing leaves SimReports byte-identical)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark smoke (each BENCHMARK.json workload for 1 s; its own checks must pass)"
+python3 scripts/bench_smoke
+
 echo "==> rto-lint --workspace (domain invariants L1-L6, deny on findings)"
 cargo run -p rto-lint --offline -q -- --workspace
 
