@@ -70,6 +70,33 @@ fn histogram_concurrent_records_are_consistent() {
     });
 }
 
+/// `record` reads `min`/`max` first and issues `fetch_min`/`fetch_max`
+/// only for a new extreme. Each thread records a value that is an
+/// extreme only relative to its own first one, so a read that skips
+/// the RMW on a stale view would lose the global extreme.
+#[test]
+fn histogram_skipped_extreme_updates_never_lose_an_extreme() {
+    loom::model(|| {
+        let reg = MetricsRegistry::new();
+        let a = reg.histogram("latency_ns");
+        let b = reg.histogram("latency_ns");
+        let t = loom::thread::spawn(move || {
+            a.record(10);
+            a.record(1);
+        });
+        b.record(5);
+        b.record(100);
+        t.join().expect("histogram thread");
+        let h = reg.histogram("latency_ns");
+        assert_eq!(h.min(), Some(1));
+        assert_eq!(h.max(), Some(100));
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 116);
+        let d = h.digest();
+        assert_eq!((d.min, d.max, d.count, d.sum), (Some(1), Some(100), 4, 116));
+    });
+}
+
 #[test]
 fn concurrent_handle_registration_is_single_cell() {
     loom::model(|| {

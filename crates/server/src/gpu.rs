@@ -15,10 +15,10 @@
 //! event loop, a measurement proxy, a bench).
 
 use crate::error::ServerError;
-use crate::network::NetworkModel;
+use crate::network::{NetMeter, NetworkModel};
 use rto_core::time::{Duration, Instant};
 use rto_obs::{Counter, Histogram, Obs, SpanContext, TraceEvent};
-use rto_stats::dist::{Distribution, DynDistribution, Exponential, LogNormal};
+use rto_stats::dist::{Distribution, Exponential, LogNormal};
 use rto_stats::Rng;
 
 /// One offloaded computation as seen by the server.
@@ -116,15 +116,23 @@ pub struct GpuServer {
     network: NetworkModel,
     /// Busy-until instant per GPU board.
     boards: Vec<Instant>,
-    service: DynDistribution,
-    background_rate_per_sec: f64,
-    background_service: DynDistribution,
+    service: LogNormal,
+    /// The background process's service time and inter-arrival gap
+    /// (both in ms); `None` for an idle server.
+    background: Option<(Exponential, Exponential)>,
     next_background: Instant,
     rng: Rng,
     /// When attached (see [`GpuServer::with_obs`]), every uplink and
     /// downlink transfer is metered and traced; `None` keeps the
     /// unobserved hot path allocation-free.
-    obs: Option<Obs>,
+    meter: Option<NetMeter>,
+}
+
+/// One background inter-arrival gap. Every gap advances the clock by at
+/// least 1 ns, so the lazy background process makes progress at any
+/// rate: a gap that rounds to 0 ns would stall `generate_background`.
+fn background_gap(gap: &Exponential, rng: &mut Rng) -> Duration {
+    Duration::from_ms_f64_clamped(gap.sample(rng)).max(Duration::from_ns(1))
 }
 
 impl GpuServer {
@@ -162,53 +170,41 @@ impl GpuServer {
                 "background rate {background_rate_per_sec}/s must be non-negative"
             )));
         }
-        let service: DynDistribution = Box::new(
-            LogNormal::from_mean_cv(service_mean_ms, service_cv)
-                .map_err(|e| ServerError::new(e.to_string()))?,
-        );
-        let background_service: DynDistribution = if background_rate_per_sec > 0.0 {
-            Box::new(
-                Exponential::from_mean(background_service_mean_ms)
-                    .map_err(|e| ServerError::new(e.to_string()))?,
-            )
+        let err = |e: rto_stats::dist::ParamError| ServerError::new(e.to_string());
+        let service = LogNormal::from_mean_cv(service_mean_ms, service_cv).map_err(err)?;
+        let background = if background_rate_per_sec > 0.0 {
+            Some((
+                Exponential::from_mean(background_service_mean_ms).map_err(err)?,
+                Exponential::new(background_rate_per_sec / 1e3).map_err(err)?,
+            ))
         } else {
-            // Unused placeholder (the background process is disabled);
-            // fall back to the request-service distribution rather than
-            // panic if the constant were ever rejected (lint L3).
-            Exponential::from_mean(1.0)
-                .map(|d| Box::new(d) as DynDistribution)
-                .map_err(|e| ServerError::new(e.to_string()))?
+            None
         };
         let mut rng = Rng::seed_from(seed);
-        let next_background = if background_rate_per_sec > 0.0 {
-            let gap_ms = Exponential::new(background_rate_per_sec / 1e3)
-                .map_err(|e| ServerError::new(e.to_string()))?
-                .sample(&mut rng);
-            Instant::ZERO + Duration::from_ms_f64_clamped(gap_ms)
-        } else {
-            Instant::MAX
+        let next_background = match &background {
+            Some((_, gap)) => Instant::ZERO + background_gap(gap, &mut rng),
+            None => Instant::MAX,
         };
         Ok(GpuServer {
             network,
             boards: vec![Instant::ZERO; num_boards],
             service,
-            background_rate_per_sec,
-            background_service,
+            background,
             next_background,
             rng,
-            obs: None,
+            meter: None,
         })
     }
 
     /// Attaches an observability bundle: uplink/downlink transfers are
-    /// recorded through [`NetworkModel::sample_transfer_traced`]
-    /// (`net_messages_total`, `net_messages_lost_total`,
-    /// `net_transfer_ns`, plus `net_transfer` trace records carrying the
-    /// request's span). The RNG stream is identical to the unobserved
-    /// server, so attaching observation never perturbs a seeded run.
+    /// metered (`net_messages_total`, `net_messages_lost_total`,
+    /// `net_transfer_ns`, each handle resolved once, on first use) and
+    /// traced (`net_transfer` records carrying the request's span). The
+    /// RNG stream is identical to the unobserved server, so attaching
+    /// observation never perturbs a seeded run.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
+        self.meter = Some(NetMeter::new(obs));
         self
     }
 
@@ -229,23 +225,18 @@ impl GpuServer {
     /// Advances the lazy background-arrival process to `now`, occupying
     /// boards as jobs arrive.
     fn generate_background(&mut self, now: Instant) {
+        let Some((service, gap)) = &self.background else {
+            return;
+        };
+        // analyze: allow(A8): progress witness — `background_gap` is at least 1 ns, so `next_background` strictly increases each pass and passes `now`
         while self.next_background <= now {
             let t = self.next_background;
             // Background job takes the earliest-free board.
             let board = Self::earliest_board(&self.boards);
             let start = self.boards[board].max(t);
-            let service_ms = self.background_service.sample(&mut self.rng);
+            let service_ms = service.sample(&mut self.rng);
             self.boards[board] = start + Duration::from_ms_f64_clamped(service_ms);
-            // Next arrival. The rate was validated positive at
-            // construction; a clamped zero gap would busy-loop, so fall
-            // back to disabling further background arrivals on the
-            // (unreachable) error path instead of panicking (lint L3).
-            let Ok(gap) = Exponential::new(self.background_rate_per_sec / 1e3) else {
-                self.next_background = Instant::MAX;
-                return;
-            };
-            let gap_ms = gap.sample(&mut self.rng);
-            self.next_background = t + Duration::from_ms_f64_clamped(gap_ms);
+            self.next_background = t + background_gap(gap, &mut self.rng);
         }
     }
 
@@ -270,10 +261,10 @@ impl GpuServer {
     /// One network transfer, metered/traced when observation is on.
     /// Both arms draw the identical RNG stream.
     fn transfer(&mut self, bytes: u64, at: Instant, span: Option<SpanContext>) -> Option<Duration> {
-        match &self.obs {
-            Some(obs) => {
+        match &mut self.meter {
+            Some(meter) => {
                 self.network
-                    .sample_transfer_traced(bytes, &mut self.rng, obs, at.as_ns(), span)
+                    .sample_transfer_metered(bytes, &mut self.rng, meter, at.as_ns(), span)
             }
             None => self.network.sample_transfer(bytes, &mut self.rng),
         }
@@ -281,6 +272,7 @@ impl GpuServer {
 }
 
 impl OffloadServer for GpuServer {
+    // analyze: hot-path
     fn submit(&mut self, request: &OffloadRequest, now: Instant) -> SubmitOutcome {
         // Uplink.
         let uplink = match self.transfer(request.payload_bytes, now, request.span) {
@@ -288,9 +280,7 @@ impl OffloadServer for GpuServer {
             None => return SubmitOutcome::Lost,
         };
         let at_server = now + uplink;
-        if self.background_rate_per_sec > 0.0 {
-            self.generate_background(at_server);
-        }
+        self.generate_background(at_server);
         // Dispatch to the earliest-free board.
         let board = Self::earliest_board(&self.boards);
         let start = self.boards[board].max(at_server);
@@ -563,6 +553,19 @@ mod tests {
             busy_total / n as f64 > 2.0 * idle_total / n as f64,
             "busy {busy_total} vs idle {idle_total}"
         );
+    }
+
+    #[test]
+    fn huge_background_rate_still_makes_progress() {
+        // 10^12 arrivals/s: every gap rounds to 0 ns, so only the
+        // 1-ns floor moves the background clock. Submitting at 1 ms
+        // takes ~10^6 passes and must return.
+        let mut s = GpuServer::new(2, 60.0, 0.35, 1e12, 45.0, NetworkModel::ideal(), 1).unwrap();
+        let now = Instant::from_ns(1_000_000);
+        let out = s.submit(&OffloadRequest::new(0), now);
+        assert!(out.arrival().is_some_and(|t| t > now));
+        // Arrivals at 1, 2, …, 10^6 ns: one pass per nanosecond.
+        assert_eq!(s.next_background, now + Duration::from_ns(1));
     }
 
     #[test]

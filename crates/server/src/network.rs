@@ -14,6 +14,7 @@
 
 use crate::error::ServerError;
 use rto_core::time::Duration;
+use rto_obs::{Counter, Histogram, Obs};
 use rto_stats::dist::{Distribution, LogNormal};
 use rto_stats::Rng;
 
@@ -122,60 +123,31 @@ impl NetworkModel {
         Some(self.base + extra)
     }
 
-    /// Like [`NetworkModel::sample_transfer`], but additionally records
-    /// the outcome into `obs`'s metric registry:
+    /// Like [`NetworkModel::sample_transfer`], but metered and traced
+    /// through `meter`:
     ///
     /// * `net_messages_total` — messages attempted,
     /// * `net_messages_lost_total` — messages dropped by the loss model,
     /// * `net_transfer_ns` — one-way latency histogram of delivered
-    ///   messages.
+    ///   messages,
     ///
-    /// Draws exactly the same RNG stream as the unobserved variant, so
-    /// swapping one for the other never perturbs a seeded simulation.
-    pub fn sample_transfer_observed(
-        &self,
-        payload_bytes: u64,
-        rng: &mut Rng,
-        obs: &rto_obs::Obs,
-    ) -> Option<Duration> {
-        let sampled = self.sample_transfer(payload_bytes, rng);
-        obs.metrics().counter("net_messages_total").inc();
-        match sampled {
-            Some(d) => obs.metrics().histogram("net_transfer_ns").record(d.as_ns()),
-            None => obs.metrics().counter("net_messages_lost_total").inc(),
-        }
-        sampled
-    }
-
-    /// Like [`NetworkModel::sample_transfer_observed`], but additionally
-    /// emits a [`rto_obs::TraceEvent::NetTransfer`] record stamped at
+    /// plus a [`rto_obs::TraceEvent::NetTransfer`] record stamped at
     /// `ts_ns`, carrying `span` when the caller traces causal spans —
     /// the record lands inside the offload span of the request whose
     /// payload is in flight.
     ///
-    /// Draws exactly the same RNG stream as the unobserved variant.
-    pub fn sample_transfer_traced(
+    /// Draws exactly the same RNG stream as the unmetered variant, so
+    /// swapping one for the other never perturbs a seeded simulation.
+    pub(crate) fn sample_transfer_metered(
         &self,
         payload_bytes: u64,
         rng: &mut Rng,
-        obs: &rto_obs::Obs,
+        meter: &mut NetMeter,
         ts_ns: u64,
         span: Option<rto_obs::SpanContext>,
     ) -> Option<Duration> {
-        let sampled = self.sample_transfer_observed(payload_bytes, rng, obs);
-        let (elapsed_ns, lost) = match sampled {
-            Some(d) => (d.as_ns(), false),
-            None => (0, true),
-        };
-        obs.emit_with(
-            ts_ns,
-            span,
-            rto_obs::TraceEvent::NetTransfer {
-                payload_bytes,
-                elapsed_ns,
-                lost,
-            },
-        );
+        let sampled = self.sample_transfer(payload_bytes, rng);
+        meter.record(payload_bytes, sampled, ts_ns, span);
         sampled
     }
 
@@ -193,6 +165,69 @@ impl NetworkModel {
     /// The per-message loss probability.
     pub fn loss(&self) -> f64 {
         self.loss
+    }
+}
+
+/// The metric handles and trace context of one metered link (see
+/// [`NetworkModel::sample_transfer_metered`]).
+///
+/// Each handle is resolved on first use and kept, so a message costs no
+/// registry lookup, and a run registers exactly the names it records: a
+/// link that never loses a message exports no `net_messages_lost_total`.
+#[derive(Debug, Clone)]
+pub(crate) struct NetMeter {
+    obs: Obs,
+    messages: Option<Counter>,
+    lost: Option<Counter>,
+    transfer_ns: Option<Histogram>,
+}
+
+impl NetMeter {
+    /// A meter recording into `obs`.
+    pub(crate) fn new(obs: Obs) -> Self {
+        NetMeter {
+            obs,
+            messages: None,
+            lost: None,
+            transfer_ns: None,
+        }
+    }
+
+    /// Meters and traces one message: its latency, or `None` if lost.
+    fn record(
+        &mut self,
+        payload_bytes: u64,
+        sampled: Option<Duration>,
+        ts_ns: u64,
+        span: Option<rto_obs::SpanContext>,
+    ) {
+        let metrics = self.obs.metrics();
+        self.messages
+            .get_or_insert_with(|| metrics.counter("net_messages_total"))
+            .inc();
+        let (elapsed_ns, lost) = match sampled {
+            Some(d) => {
+                self.transfer_ns
+                    .get_or_insert_with(|| metrics.histogram("net_transfer_ns"))
+                    .record(d.as_ns());
+                (d.as_ns(), false)
+            }
+            None => {
+                self.lost
+                    .get_or_insert_with(|| metrics.counter("net_messages_lost_total"))
+                    .inc();
+                (0, true)
+            }
+        };
+        self.obs.emit_with(
+            ts_ns,
+            span,
+            rto_obs::TraceEvent::NetTransfer {
+                payload_bytes,
+                elapsed_ns,
+                lost,
+            },
+        );
     }
 }
 
@@ -264,18 +299,19 @@ mod tests {
     }
 
     #[test]
-    fn observed_transfer_matches_unobserved_stream() {
-        let obs = rto_obs::Obs::default();
+    fn metered_transfer_matches_unmetered_stream() {
+        let obs = Obs::default();
+        let mut meter = NetMeter::new(obs.clone());
         let net = NetworkModel::new(Duration::ZERO, 1e6, 1.0, 0.3, 0.2).unwrap();
         let mut a = Rng::seed_from(8);
         let mut b = Rng::seed_from(8);
         let mut delivered = 0u64;
         let mut lost = 0u64;
-        for _ in 0..500 {
+        for k in 0..500 {
             let plain = net.sample_transfer(100, &mut a);
-            let observed = net.sample_transfer_observed(100, &mut b, &obs);
-            assert_eq!(plain, observed, "observation must not perturb the stream");
-            match observed {
+            let metered = net.sample_transfer_metered(100, &mut b, &mut meter, k, None);
+            assert_eq!(plain, metered, "metering must not perturb the stream");
+            match metered {
                 Some(_) => delivered += 1,
                 None => lost += 1,
             }
@@ -287,19 +323,34 @@ mod tests {
     }
 
     #[test]
+    fn metered_transfer_registers_only_what_it_records() {
+        let obs = Obs::default();
+        let mut meter = NetMeter::new(obs.clone());
+        let mut rng = Rng::seed_from(6);
+        for k in 0..10 {
+            NetworkModel::ideal().sample_transfer_metered(10, &mut rng, &mut meter, k, None);
+        }
+        let snap = obs.metrics().snapshot();
+        assert_eq!(snap.counter("net_messages_total"), Some(10));
+        assert_eq!(snap.counter("net_messages_lost_total"), None);
+        assert_eq!(snap.histogram("net_transfer_ns").unwrap().count, 10);
+    }
+
+    #[test]
     fn traced_transfer_matches_stream_and_tags_spans() {
-        use rto_obs::{MemorySink, Obs, TraceEvent};
+        use rto_obs::{MemorySink, TraceEvent};
         use std::sync::Arc;
 
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::with_sink(sink.clone());
+        let mut meter = NetMeter::new(obs.clone());
         let net = NetworkModel::new(Duration::ZERO, 1e6, 1.0, 0.3, 0.2).unwrap();
         let ctx = rto_obs::span::offload_ctx(3);
         let mut a = Rng::seed_from(8);
         let mut b = Rng::seed_from(8);
         for k in 0..100u64 {
             let plain = net.sample_transfer(100, &mut a);
-            let traced = net.sample_transfer_traced(100, &mut b, &obs, k, Some(ctx));
+            let traced = net.sample_transfer_metered(100, &mut b, &mut meter, k, Some(ctx));
             assert_eq!(plain, traced, "tracing must not perturb the stream");
         }
         let records = sink.snapshot();
