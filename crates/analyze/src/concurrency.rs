@@ -5,7 +5,7 @@
 //!
 //! 1. **Ordering discipline.** Every atomic operation that names a
 //!    non-`Relaxed` `Ordering::` outside `crates/obs` must carry an
-//!    inline `// lint: allow(A5): reason` justification (obs is the
+//!    inline `// analyze: allow(A5): reason` justification (obs is the
 //!    designated home of deliberate fences; everywhere else, stronger
 //!    orderings are either unnecessary — `fetch_add` used purely for
 //!    index distribution — or deserve a written claim).
@@ -28,13 +28,13 @@
 //!    is reported (deny in `exp`, whose pool must stay wait-free on
 //!    the distribution path; warn elsewhere).
 //!
-//! Like A1/A4, the audit runs on cached phase-1 facts, so warm runs
-//! are byte-identical to cold runs.
+//! Like A1/A4, the audit reads only phase-1 facts, so its output is a
+//! pure function of the sources.
 
+use crate::allow::AllowEntry;
 use crate::facts::FileFacts;
 use crate::graph::{Gid, Graph};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Crate whose blocking-in-worker findings are deny (the experiment
@@ -45,7 +45,7 @@ const ORDERING_EXEMPT_CRATES: &[&str] = &["obs"];
 
 /// Run the A5 audit over every file's facts.
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     allowlist: &[AllowEntry],
     deps: &HashMap<String, Vec<String>>,
@@ -78,7 +78,7 @@ fn orderings(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
                 severity: "deny".to_owned(),
                 message: format!(
                     "`{}` uses `Ordering::{}` outside `obs` — justify with \
-                     `// lint: allow(A5): reason` or relax to `Relaxed`",
+                     `// analyze: allow(A5): reason` or relax to `Relaxed`",
                     a.op, a.ordering
                 ),
             });
@@ -387,7 +387,7 @@ mod tests {
         // Same code in obs is exempt.
         assert!(run(&[("crates/obs/src/metrics.rs", src)]).is_empty());
         // An inline justification silences it anywhere.
-        let waived = "pub fn f(c: &std::sync::atomic::AtomicU64) {\n    // lint: allow(A5): store pairs with the collector's Acquire load\n    c.store(1, std::sync::atomic::Ordering::Release);\n}\n";
+        let waived = "pub fn f(c: &std::sync::atomic::AtomicU64) {\n    // analyze: allow(A5): store pairs with the collector's Acquire load\n    c.store(1, std::sync::atomic::Ordering::Release);\n}\n";
         assert!(run(&[("crates/exp/src/pool.rs", waived)]).is_empty());
         // Relaxed needs no justification.
         let relaxed = "pub fn f(c: &std::sync::atomic::AtomicU64) {\n    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);\n}\n";

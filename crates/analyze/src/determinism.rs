@@ -34,10 +34,10 @@
 //!
 //! [`NondetFact`]: crate::facts::NondetFact
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, FnFact, NondetFact};
 use crate::graph::{Gid, Graph};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Crates whose findings are `deny`: nondeterminism here breaks
@@ -51,7 +51,7 @@ const A6_WARN_CRATES: &[&str] = &["mckp", "server", "obs", "workloads"];
 
 /// Run the A6 audit over every file's facts.
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     allowlist: &[AllowEntry],
     deps: &HashMap<String, Vec<String>>,
@@ -65,7 +65,7 @@ pub fn check(
         }
         f.nondet
             .iter()
-            .filter(|n| !n.waived && !inline_waived(ff, "A6", n.line))
+            .filter(|n| !inline_waived(ff, "A6", n.line))
             .min_by_key(|n| n.line)
             .cloned()
     };

@@ -692,52 +692,6 @@ impl Abs {
             _ => None,
         }
     }
-
-    /// Stable one-token cache encoding (`u`, `i:lo:hi:d`,
-    /// `f:lobits:hibits:d` — float bounds as IEEE-754 bit-hex so the
-    /// round trip is exact).
-    #[must_use]
-    pub fn encode(self) -> String {
-        match self {
-            Abs::Unknown => "u".to_owned(),
-            Abs::Int(i) => format!("i:{}:{}:{}", i.lo, i.hi, u8::from(i.derived)),
-            Abs::Float(f) => format!(
-                "f:{:016x}:{:016x}:{}",
-                f.lo.to_bits(),
-                f.hi.to_bits(),
-                u8::from(f.derived)
-            ),
-        }
-    }
-
-    /// Inverse of [`Abs::encode`]; malformed input decodes to `None`.
-    #[must_use]
-    pub fn decode(s: &str) -> Option<Abs> {
-        if s == "u" {
-            return Some(Abs::Unknown);
-        }
-        let mut parts = s.split(':');
-        let tag = parts.next()?;
-        let lo = parts.next()?;
-        let hi = parts.next()?;
-        let derived = parts.next()? == "1";
-        if parts.next().is_some() {
-            return None;
-        }
-        match tag {
-            "i" => Some(Abs::Int(IntItv {
-                lo: lo.parse().ok()?,
-                hi: hi.parse().ok()?,
-                derived,
-            })),
-            "f" => Some(Abs::Float(FltItv {
-                lo: f64::from_bits(u64::from_str_radix(lo, 16).ok()?),
-                hi: f64::from_bits(u64::from_str_radix(hi, 16).ok()?),
-                derived,
-            })),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Abs {
@@ -871,22 +825,6 @@ mod tests {
             "[0, 2^53]"
         );
         assert_eq!(format!("{}", Abs::Unknown), "⊤");
-    }
-
-    #[test]
-    fn abs_encode_roundtrip_is_exact() {
-        let vals = [
-            Abs::Unknown,
-            Abs::Int(IntItv::new(-7, 42)),
-            Abs::Int(IntTy::parse("u64").unwrap().range()),
-            Abs::Float(FltItv::new(0.1, 1e308)),
-            Abs::Float(FltItv::top()),
-        ];
-        for v in vals {
-            assert_eq!(Abs::decode(&v.encode()), Some(v), "{}", v.encode());
-        }
-        assert_eq!(Abs::decode("i:1:2"), None);
-        assert_eq!(Abs::decode("x:1:2:0"), None);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Per-file analysis facts: the unit of caching and of the parse phase.
+//! Per-file analysis facts: the output of the parse phase.
 //!
-//! `rto-analyze` is a two-phase analyzer. Phase 1 (parallel-friendly,
-//! cacheable) turns each source file into a [`FileFacts`] value: the
-//! functions it defines, the calls they make, the panic-family seeds
-//! they contain, declared/inferred units of measure, raw lint findings,
-//! and waiver comments. Phase 2 (cheap, global) resolves symbols,
-//! builds the interprocedural call graph, and runs the A1/A2/A3
-//! analyses over the facts of every file. Only phase 1 is cached, so a
-//! warm run re-parses exactly the files whose content hash changed
-//! while the global phase always sees the whole workspace.
+//! `rto-analyze` is a two-phase analyzer. Phase 1 turns each source
+//! file into a [`FileFacts`] value: the functions it defines, the calls
+//! they make, the panic-family seeds they contain, declared/inferred
+//! units of measure, raw token-tier (L1–L6) findings, and waiver
+//! comments. Phase 2 resolves symbols, builds the interprocedural call
+//! graph, applies waivers, and runs the A-rules over the facts of every
+//! file. Facts carry no waiver state, so every rule reads waivers the
+//! same way, in phase 2.
 
 use std::fmt;
 
@@ -30,7 +29,7 @@ pub enum Unit {
 }
 
 impl Unit {
-    /// Stable single-token spelling used by the cache serialization.
+    /// Stable single-token spelling used in messages.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -39,19 +38,6 @@ impl Unit {
             Unit::Ratio => "ratio",
             Unit::Dimensionless => "dimensionless",
             Unit::Unknown => "unknown",
-        }
-    }
-
-    /// Inverse of [`Unit::as_str`]; unknown spellings decode to
-    /// [`Unit::Unknown`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "ns" => Unit::Ns,
-            "ms" => Unit::Ms,
-            "ratio" => Unit::Ratio,
-            "dimensionless" => Unit::Dimensionless,
-            _ => Unit::Unknown,
         }
     }
 
@@ -81,42 +67,14 @@ pub enum SeedKind {
     Index,
 }
 
-impl SeedKind {
-    /// Stable spelling for cache + messages.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SeedKind::PanicMacro => "panic-macro",
-            SeedKind::Unwrap => "unwrap",
-            SeedKind::Expect => "expect",
-            SeedKind::Index => "index",
-        }
-    }
-
-    /// Inverse of [`SeedKind::as_str`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "unwrap" => SeedKind::Unwrap,
-            "expect" => SeedKind::Expect,
-            "index" => SeedKind::Index,
-            _ => SeedKind::PanicMacro,
-        }
-    }
-}
-
 /// One potential panic site inside a function body.
 #[derive(Debug, Clone)]
 pub struct SeedFact {
     /// What kind of site this is.
     pub kind: SeedKind,
-    /// 1-based source line.
+    /// 1-based source line. A waiver for `A1` or `L3` here marks the
+    /// site a documented contract that does not seed A1 reachability.
     pub line: u32,
-    /// True when a reviewed waiver covers this site (inline
-    /// `// lint: allow(L3|A1): reason` or an `lint.allow.toml` entry):
-    /// waived sites are treated as documented non-panicking contracts
-    /// and do not seed A1 reachability.
-    pub waived: bool,
 }
 
 /// One syntactic call site inside a function body.
@@ -169,7 +127,7 @@ pub enum A4Kind {
 }
 
 impl A4Kind {
-    /// Stable spelling for cache + messages.
+    /// Stable spelling for messages.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -177,17 +135,6 @@ impl A4Kind {
             A4Kind::DivZero => "div-zero",
             A4Kind::SubUnderflow => "sub-underflow",
             A4Kind::Overflow => "overflow",
-        }
-    }
-
-    /// Inverse of [`A4Kind::as_str`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "div-zero" => A4Kind::DivZero,
-            "sub-underflow" => A4Kind::SubUnderflow,
-            "overflow" => A4Kind::Overflow,
-            _ => A4Kind::LossyCast,
         }
     }
 }
@@ -247,34 +194,6 @@ pub enum NondetKind {
     FsRead,
 }
 
-impl NondetKind {
-    /// Stable spelling for cache + messages.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NondetKind::HashIter => "hash-iter",
-            NondetKind::WallClock => "wall-clock",
-            NondetKind::ThreadId => "thread-id",
-            NondetKind::Rng => "rng",
-            NondetKind::EnvRead => "env-read",
-            NondetKind::FsRead => "fs-read",
-        }
-    }
-
-    /// Inverse of [`NondetKind::as_str`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "wall-clock" => NondetKind::WallClock,
-            "thread-id" => NondetKind::ThreadId,
-            "rng" => NondetKind::Rng,
-            "env-read" => NondetKind::EnvRead,
-            "fs-read" => NondetKind::FsRead,
-            _ => NondetKind::HashIter,
-        }
-    }
-}
-
 /// One nondeterminism source site inside a function body (A6).
 #[derive(Debug, Clone)]
 pub struct NondetFact {
@@ -282,10 +201,6 @@ pub struct NondetFact {
     pub kind: NondetKind,
     /// 1-based source line.
     pub line: u32,
-    /// True when a reviewed sanction covers this site (inline
-    /// `// analyze: allow(A6): reason` or an `lint.allow.toml` entry):
-    /// sanctioned sources do not seed the taint propagation.
-    pub waived: bool,
     /// Human label for witness chains
     /// (``"`HashMap` iteration (`seg_counts.values()`)"``).
     pub desc: String,
@@ -307,30 +222,6 @@ pub enum AllocKind {
     Collect,
 }
 
-impl AllocKind {
-    /// Stable spelling for cache + messages.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AllocKind::GrowPush => "grow-push",
-            AllocKind::Str => "string",
-            AllocKind::BoxRc => "box-rc",
-            AllocKind::Collect => "collect",
-        }
-    }
-
-    /// Inverse of [`AllocKind::as_str`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "string" => AllocKind::Str,
-            "box-rc" => AllocKind::BoxRc,
-            "collect" => AllocKind::Collect,
-            _ => AllocKind::GrowPush,
-        }
-    }
-}
-
 /// One allocating construct inside a function body (A7).
 #[derive(Debug, Clone)]
 pub struct AllocFact {
@@ -338,9 +229,6 @@ pub struct AllocFact {
     pub kind: AllocKind,
     /// 1-based source line.
     pub line: u32,
-    /// True when a reviewed sanction covers this site (inline
-    /// `// analyze: allow(A7): reason` or an `lint.allow.toml` entry).
-    pub waived: bool,
     /// Human label (``"`format!`"``, ``"`buf.push(..)`"``).
     pub desc: String,
 }
@@ -367,30 +255,6 @@ pub enum LoopKind {
 }
 
 impl LoopKind {
-    /// Stable spelling for cache + messages.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LoopKind::ForBounded => "for-bounded",
-            LoopKind::ForEndless => "for-endless",
-            LoopKind::WhileProgress => "while-progress",
-            LoopKind::LoopBreaks => "loop-breaks",
-            LoopKind::Unbounded => "unbounded",
-        }
-    }
-
-    /// Inverse of [`LoopKind::as_str`].
-    #[must_use]
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "for-bounded" => LoopKind::ForBounded,
-            "for-endless" => LoopKind::ForEndless,
-            "while-progress" => LoopKind::WhileProgress,
-            "loop-breaks" => LoopKind::LoopBreaks,
-            _ => LoopKind::Unbounded,
-        }
-    }
-
     /// A bounded classification: contributes its nesting depth to the
     /// function's step-bound degree instead of forcing `⊤`.
     #[must_use]
@@ -414,10 +278,6 @@ pub struct LoopFact {
     /// The progress witness, empty when none was found
     /// (``"guard `i` advanced by `+=`"``, ``"drains `heap.pop()`"``).
     pub witness: String,
-    /// True when a reviewed sanction covers this loop (inline
-    /// `// analyze: allow(A8): reason` or an `lint.allow.toml` entry):
-    /// sanctioned loops count as bounded.
-    pub waived: bool,
 }
 
 /// One potentially blocking call site (A5).
@@ -454,9 +314,9 @@ pub struct FnFact {
     pub ret_unit: Unit,
     /// Primitive return type (`"u64"`, `"f64"`, `""` otherwise).
     pub ret_ty: String,
-    /// Encoded abstract return interval ([`crate::domains::Abs`]
-    /// encoding) — the interprocedural A4 summary for this function.
-    pub ret_abs: String,
+    /// Abstract return interval — the intra-procedural A4 summary, the
+    /// fallback when phase 2 cannot re-walk the body.
+    pub ret_abs: crate::domains::Abs,
     /// Token span of the body in the test-stripped token stream:
     /// `(first, one-past-last)` — lets the phase-2 fixpoint engine
     /// re-walk the body with callee summaries without re-parsing.
@@ -492,11 +352,11 @@ impl FnFact {
     }
 }
 
-/// A rule finding re-recorded as plain data (path is implied by the
-/// owning [`FileFacts`]).
+/// A per-file finding as plain data (path is implied by the owning
+/// [`FileFacts`]): a token-tier finding or a local A2 finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFinding {
-    /// Rule id (`"L1"`…`"L6"`, `"A1"`…`"A3"`).
+    /// Rule id (`"L1"`…`"L6"`, `"A2"`).
     pub rule: String,
     /// 1-based source line.
     pub line: u32,
@@ -506,20 +366,11 @@ pub struct RawFinding {
     pub message: String,
 }
 
-/// The kind of a reviewed waiver comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaiverKind {
-    /// `// lint: allow(Lx|Ax): reason`, with the rule id.
-    Allow(String),
-    /// `// lint: relaxed-ok: reason` (L6 justification).
-    RelaxedOk,
-}
-
-/// One inline waiver comment.
+/// One inline waiver comment, `// analyze: allow(RULE): reason`.
 #[derive(Debug, Clone)]
 pub struct WaiverComment {
-    /// What the comment waives.
-    pub kind: WaiverKind,
+    /// The rule id it waives (`L3`, `A1`, …).
+    pub rule: String,
     /// 1-based line the comment starts on (it covers findings on this
     /// line and the next).
     pub line: u32,
@@ -535,18 +386,16 @@ pub struct FileFacts {
     pub crate_dir: Option<String>,
     /// Function definitions (test regions stripped).
     pub fns: Vec<FnFact>,
-    /// Raw lint findings on production (test-stripped) tokens, with no
-    /// waivers applied.
+    /// Token-tier (L1–L6) findings on production (test-stripped)
+    /// tokens, with no waivers applied.
     pub lint_prod: Vec<RawFinding>,
-    /// Raw lint findings on the full token stream (tests included);
+    /// Token-tier findings on the full token stream (tests included);
     /// used only to justify inline waivers that live in test code.
     pub lint_all: Vec<RawFinding>,
     /// Intra-function A2 findings.
     pub a2_local: Vec<RawFinding>,
     /// Inline waiver comments found anywhere in the file.
     pub waivers: Vec<WaiverComment>,
-    /// Lines containing an `Ordering::Relaxed` token (full stream).
-    pub relaxed_lines: Vec<u32>,
     /// A4 interval sites recorded by the phase-1 walk (pre-waiver).
     pub a4: Vec<A4Site>,
     /// Atomic operations with explicit orderings (test-stripped).

@@ -14,9 +14,9 @@
 //! A1 reports a public function as panic-free, no call chain the
 //! scanner saw can reach a seed.
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, SeedFact, SeedKind};
-use crate::{allowlist_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
+use crate::{allowlist_waived, inline_waived, Diagnostic};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Crates whose public panic-reachability findings are `deny` (the
@@ -68,7 +68,7 @@ pub(crate) type Gid = (usize, usize);
 
 /// Run the call-graph analyses over every file's facts.
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     allowlist: &[AllowEntry],
     deps: &HashMap<String, Vec<String>>,
@@ -234,7 +234,7 @@ impl Graph {
                     let cfn = cf.fns.get(cni)?;
                     cfn.seeds
                         .iter()
-                        .filter(|s| !s.waived)
+                        .filter(|s| !seed_waived(cf, s.line))
                         .min_by_key(|s| s.line)
                         .map(|s| format!("{} at {}:{}", seed_label(s.kind), cf.rel_path, s.line))
                 })
@@ -367,11 +367,17 @@ impl Graph {
     }
 }
 
+/// An inline `A1` or `L3` waiver marks a seed as a documented
+/// non-panicking contract.
+fn seed_waived(ff: &FileFacts, line: u32) -> bool {
+    inline_waived(ff, "A1", line) || inline_waived(ff, "L3", line)
+}
+
 /// Is this seed live after inline *and* allowlist waivers? Allowlist
 /// `L3` entries cover indexing seeds (they are the indexing lint's
 /// whole-file escape hatch); `A1` entries cover every seed kind.
 fn seed_effective(seed: &SeedFact, ff: &FileFacts, allowlist: &[AllowEntry]) -> bool {
-    if seed.waived {
+    if seed_waived(ff, seed.line) {
         return false;
     }
     if allowlist_waived(allowlist, ff, "A1") {
@@ -460,13 +466,20 @@ mod tests {
 
     #[test]
     fn waived_seed_does_not_taint() {
-        let a = parse_file(
-            "crates/core/src/a.rs",
-            "pub fn api(x: Option<u8>) -> u8 {\n    \
-             // lint: allow(A1): documented contract, caller validates\n    x.unwrap()\n}\n",
-        );
-        let diags = check(&[a], &[], &deps());
-        assert!(diags.iter().all(|d| d.rule != "A1"), "{diags:?}");
+        // Either rule id waives the seed: A1 names the reachability
+        // rule, L3 the per-site rule the seed also trips.
+        for rule in ["A1", "L3"] {
+            let a = parse_file(
+                "crates/core/src/a.rs",
+                &format!(
+                    "pub fn api(x: Option<u8>) -> u8 {{\n    \
+                     // analyze: allow({rule}): documented contract, caller validates\n    \
+                     x.unwrap()\n}}\n"
+                ),
+            );
+            let diags = check(&[a], &[], &deps());
+            assert!(diags.iter().all(|d| d.rule != "A1"), "{rule}: {diags:?}");
+        }
     }
 
     #[test]

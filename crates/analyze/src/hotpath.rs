@@ -36,15 +36,15 @@
 //!
 //! [`AllocFact`]: crate::facts::AllocFact
 
+use crate::allow::AllowEntry;
 use crate::facts::{AllocKind, FileFacts, FnFact};
 use crate::graph::{Gid, Graph};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, VecDeque};
 
 /// Run the A7 analysis over every file's facts.
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     allowlist: &[AllowEntry],
     deps: &HashMap<String, Vec<String>>,
@@ -109,8 +109,7 @@ pub fn check(
         let Some(ff) = files.get(fi) else { continue };
         let Some(f) = ff.fns.get(ni) else { continue };
         for a in &f.allocs {
-            if a.waived || inline_waived(ff, "A7", a.line) || allowlist_waived(allowlist, ff, "A7")
-            {
+            if inline_waived(ff, "A7", a.line) || allowlist_waived(allowlist, ff, "A7") {
                 continue;
             }
             // File-granular capacity evidence discharges growth sites:

@@ -28,8 +28,8 @@
 //! sites with all callee summaries in scope, so bounds flow through
 //! arbitrary-depth call chains, not just one level. The phase-1
 //! summary (join of all `return` values and the tail expression) is
-//! still encoded into [`crate::facts::FnFact::ret_abs`] and cached
-//! with the file as the fallback when a body cannot be re-walked.
+//! still kept in [`crate::facts::FnFact::ret_abs`] as the fallback
+//! when a body cannot be re-walked.
 //!
 //! Soundness posture mirrors A1/A2: the walker runs on code the
 //! compiler already accepted and over-approximates aggressively
@@ -39,11 +39,11 @@
 //! saturated at `i128::MAX`, no closure-capture tracking, cycles cut
 //! at ⊤) are documented in DESIGN.md §11 and §13.
 
+use crate::allow::AllowEntry;
 use crate::domains::{Abs, FltItv, IntItv, IntTy};
 use crate::facts::{A4Kind, A4Site, FileFacts, FnFact};
+use crate::lexer::{TokKind, Token};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
-use rto_lint::lexer::{TokKind, Token};
 use std::collections::{HashMap, VecDeque};
 
 /// Files where an unproven A4 site is a **deny** (the paper-critical
@@ -129,15 +129,15 @@ pub(crate) struct Resolved {
 }
 
 /// Analyze one function body (`toks[start..end]`, the region strictly
-/// inside the braces). Returns the encoded return-interval summary and
-/// the A4 sites found.
+/// inside the braces). Returns the return-interval summary and the A4
+/// sites found.
 pub(crate) fn analyze_fn(
     toks: &[Token],
     start: usize,
     end: usize,
     fact: &FnFact,
     ctx: &Ctx<'_>,
-) -> (String, Vec<A4Site>) {
+) -> (Abs, Vec<A4Site>) {
     let mut env = Env::new();
     for (idx, (name, _unit)) in fact.params.iter().enumerate() {
         let ty = fact.param_tys.get(idx).map_or("", String::as_str);
@@ -165,7 +165,7 @@ pub(crate) fn analyze_fn(
             tail.abs
         };
     }
-    (summary.encode(), w.sites)
+    (summary, w.sites)
 }
 
 /// The walker state.
@@ -2111,11 +2111,10 @@ fn parse_float_lit(text: &str) -> (Option<f64>, String) {
 /// The phase-1 (intra-procedural) summary of a function — the fallback
 /// when its body cannot be re-walked in phase 2.
 fn phase1_summary(f: &FnFact) -> Abs {
-    let abs = Abs::decode(&f.ret_abs).unwrap_or(Abs::Unknown);
-    if abs == Abs::Unknown && !f.ret_ty.is_empty() {
+    if f.ret_abs == Abs::Unknown && !f.ret_ty.is_empty() {
         return Abs::of_type(&f.ret_ty);
     }
-    abs
+    f.ret_abs
 }
 
 /// The ⊤-cut summary for a call-cycle member: its declared return-type
@@ -2340,8 +2339,7 @@ impl<'a> Engine<'a> {
             consts: &self.consts[fi],
             resolver: Some(&resolver),
         };
-        let (enc, _sites) = analyze_fn(toks, start, end, f, &ctx);
-        let abs = Abs::decode(&enc).unwrap_or(Abs::Unknown);
+        let (abs, _sites) = analyze_fn(toks, start, end, f, &ctx);
         if abs == Abs::Unknown && !f.ret_ty.is_empty() {
             Abs::of_type(&f.ret_ty)
         } else {
@@ -2574,7 +2572,7 @@ fn message_for(site: &A4Site) -> String {
 /// apply waivers, and emit diagnostics (deny inside the paper-critical
 /// modules listed in [`DENY_PATHS`], warn elsewhere).
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     srcs: &HashMap<String, String>,
     allowlist: &[AllowEntry],
@@ -2744,7 +2742,7 @@ mod tests {
         let d = diags("crates/mckp/src/fptas.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].severity, "deny");
-        let waived = "pub fn f(x: u64) -> u32 {\n    // lint: allow(A4): saturation documented\n    x as u32\n}\n";
+        let waived = "pub fn f(x: u64) -> u32 {\n    // analyze: allow(A4): saturation documented\n    x as u32\n}\n";
         assert!(diags("crates/mckp/src/fptas.rs", waived).is_empty());
     }
 

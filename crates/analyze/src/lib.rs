@@ -1,7 +1,15 @@
-//! `rto-analyze`: semantic static analysis for the rto workspace.
+//! `rto-analyze`: the static analyzer for the rto workspace.
 //!
-//! Three analyses run on top of `rto-lint`'s lexer:
+//! The paper's guarantee is arithmetic — integer-nanosecond Theorem-3
+//! densities `(C1 + C2)/(D − R)` — and the rules below keep it true
+//! under refactoring. Two tiers share one lexer ([`lexer`]), one waiver
+//! grammar, one allowlist and one report:
 //!
+//! * **Token tier, L1–L6** (`rules.rs`): per-site checks on the
+//!   test-stripped token stream — raw nanosecond arithmetic (L1),
+//!   float equality (L2), panics in library crates (L3), lossy time
+//!   casts (L4), wall clocks in `core`/`sim` (L5) and unjustified
+//!   `Ordering::Relaxed` in `obs` (L6).
 //! * **A1 — panic reachability.** An interprocedural call graph over
 //!   every workspace crate; any public function of `core`/`mckp`
 //!   (deny) or `sim`/`obs` (warn) from which a panic-family seed
@@ -12,10 +20,9 @@
 //!   returns, and call arguments; cross-unit arithmetic and unguarded
 //!   `D − R` divisions are denied.
 //! * **A3 — stale waivers.** Every `lint.allow.toml` entry and every
-//!   inline `// lint: allow(..)` / `// analyze: allow(..)` /
-//!   `// lint: relaxed-ok` comment must still justify at least one
-//!   finding; dead waivers are denied so suppressions cannot outlive
-//!   the code they excused.
+//!   inline waiver must still justify at least one finding; dead
+//!   waivers are denied so suppressions cannot outlive the code they
+//!   excused.
 //! * **A4 — interval analysis** ([`interval`]) and **A5 — concurrency
 //!   audit** ([`concurrency`]): value-range proofs for casts/divisions
 //!   and ordering/lock-cycle/blocking checks over the worker pool.
@@ -33,15 +40,23 @@
 //!   and per-function symbolic step bounds are composed bottom-up so a
 //!   `⊤`-bound function reachable from a hot-path root is denied.
 //!
-//! The pipeline is two-phase: phase 1 ([`parse::parse_file`]) is
-//! per-file, pure, and cached under `target/rto-analyze/` keyed by
-//! content hash ([`cache`]); phase 2 ([`graph`], [`stale`]) is global
-//! and recomputed every run. Output formats: human, JSON, and SARIF
-//! 2.1.0 ([`sarif`]).
+//! **Waivers.** One spelling, `// analyze: allow(RULE): reason`, on the
+//! finding's line or the line above, with a non-empty reason and never
+//! in a doc comment; `inline_waived` is its only reader. A seed of A1
+//! is waived by `allow(A1)` or `allow(L3)`. Whole-file suppressions
+//! live in `lint.allow.toml`, each with a mandatory reason.
+//!
+//! **Pipeline.** Every file is read and hashed; a fingerprint over the
+//! hashes, the allowlist and the crate dependency graph keys the cached
+//! diagnostics ([`cache`]). On a hit nothing is parsed. On a miss,
+//! phase 1 ([`parse::parse_file`]) turns every file into facts and
+//! phase 2 ([`graph`], [`stale`], …) applies waivers and runs the
+//! rules. Output formats: human, JSON, and SARIF 2.1.0 ([`sarif`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod allow;
 pub mod cache;
 pub mod concurrency;
 pub mod determinism;
@@ -50,13 +65,15 @@ pub mod facts;
 pub mod graph;
 pub mod hotpath;
 pub mod interval;
+pub mod lexer;
 pub mod parse;
+mod rules;
 pub mod sarif;
 pub mod stale;
 pub mod termination;
 
-use facts::{FileFacts, WaiverKind};
-use rto_lint::allow::{self, AllowEntry};
+use allow::AllowEntry;
+use facts::FileFacts;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -69,7 +86,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule id: `"A1"`, `"A2"`, or `"A3"`.
+    /// Rule id: `"L1"` … `"L6"` or `"A1"` … `"A8"`.
     pub rule: String,
     /// `"deny"` or `"warn"`.
     pub severity: String,
@@ -88,13 +105,13 @@ impl Diagnostic {
 /// Outcome of [`analyze_workspace`].
 #[derive(Debug)]
 pub struct Analysis {
-    /// All diagnostics, sorted by `(path, line, rule, message)`.
+    /// All diagnostics, sorted by `(path, line, rule, severity, message)`.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files considered.
     pub files_total: usize,
-    /// Files actually re-parsed this run (cache misses).
+    /// Files parsed this run: all of them on a cache miss, none on a hit.
     pub files_reparsed: usize,
-    /// Microseconds spent in phase 1 (hash + cache probe + parse).
+    /// Microseconds spent reading, hashing and (on a miss) parsing files.
     pub parse_us: u128,
 }
 
@@ -121,26 +138,23 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 
 /// Run the full analysis over the workspace at `root`.
 ///
-/// With `use_cache`, phase-1 facts are read from / written to
-/// `target/rto-analyze/`, and the global phase's final diagnostics are
-/// cached under a whole-workspace fingerprint (file hashes, allowlist,
-/// and dependency graph). A fully warm run replays those diagnostics
-/// byte-identically without re-running the global phase; any change to
-/// any input falls back to the full fresh computation.
+/// With `use_cache`, the diagnostics are cached in
+/// `target/rto-analyze/global.diag` under a whole-workspace fingerprint
+/// (file hashes, allowlist, and dependency graph). A run whose
+/// fingerprint matches replays them byte-identically without parsing
+/// anything; any change to any input parses every file afresh.
 ///
 /// # Errors
 ///
 /// On unreadable files/directories or a malformed `lint.allow.toml`.
 pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, String> {
-    let files = rto_lint::collect_workspace_files(root)?;
-    let allowlist = read_allowlist(root)?;
+    let files = collect_workspace_files(root)?;
+    let (allow_text, allowlist) = read_allowlist(root)?;
+    let deps = crate_deps(root)?;
     let cache_dir = root.join("target").join("rto-analyze");
 
     let parse_start = Instant::now();
-    let mut all_facts: Vec<FileFacts> = Vec::with_capacity(files.len());
-    let mut srcs: HashMap<String, String> = HashMap::with_capacity(files.len());
-    let mut file_hashes: Vec<(String, u64)> = Vec::with_capacity(files.len());
-    let mut reparsed = 0usize;
+    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for file in &files {
         let src =
             fs::read_to_string(file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
@@ -149,44 +163,18 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        let hash = cache::fnv64(src.as_bytes());
-        let cached = if use_cache {
-            cache::load(&cache_dir, &rel, hash)
-        } else {
-            None
-        };
-        let facts = match cached {
-            Some(f) => f,
-            None => {
-                reparsed += 1;
-                let f = parse::parse_file(&rel, &src);
-                if use_cache {
-                    cache::store(&cache_dir, &f, hash)?;
-                }
-                f
-            }
-        };
-        file_hashes.push((rel.clone(), hash));
-        srcs.insert(rel, src);
-        all_facts.push(facts);
+        sources.push((rel, src));
     }
-    let parse_us = parse_start.elapsed().as_micros();
 
-    let deps = crate_deps(root)?;
-
-    // Fingerprint of everything the global phase depends on: file
-    // contents, the allowlist, and the crate dependency graph. A warm
-    // run whose fingerprint matches returns the cached diagnostics
-    // verbatim and skips the global phase (including the phase-2
-    // fixpoint re-walk) entirely.
+    // Fingerprint of every input: file contents, the allowlist, and
+    // the crate dependency graph.
     let fingerprint = {
         use std::fmt::Write as _;
         let mut s = String::new();
-        file_hashes.sort();
-        for (rel, h) in &file_hashes {
-            let _ = writeln!(s, "{rel}\t{h:016x}");
+        for (rel, src) in &sources {
+            let _ = writeln!(s, "{rel}\t{:016x}", cache::fnv64(src.as_bytes()));
         }
-        s.push_str(&fs::read_to_string(root.join("lint.allow.toml")).unwrap_or_default());
+        s.push_str(&allow_text);
         let mut dks: Vec<&String> = deps.keys().collect();
         dks.sort();
         for k in dks {
@@ -199,19 +187,36 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
             return Ok(Analysis {
                 diagnostics,
                 files_total: files.len(),
-                files_reparsed: reparsed,
-                parse_us,
+                files_reparsed: 0,
+                parse_us: parse_start.elapsed().as_micros(),
             });
         }
     }
 
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+    let all_facts: Vec<FileFacts> = sources
+        .iter()
+        .map(|(rel, src)| parse::parse_file(rel, src))
+        .collect();
+    let parse_us = parse_start.elapsed().as_micros();
+    let srcs: HashMap<String, String> = sources.into_iter().collect();
 
-    // Intra-function A2 findings, minus inline `allow(A2)` waivers
-    // (waivers are applied here, not at parse time, to keep the cache
-    // pure in the file content).
+    let mut diagnostics: Vec<Diagnostic> = graph::check(&all_facts, &allowlist, &deps);
+    diagnostics.extend(interval::check(&all_facts, &srcs, &allowlist, &deps));
+    diagnostics.extend(concurrency::check(&all_facts, &allowlist, &deps));
+    diagnostics.extend(determinism::check(&all_facts, &allowlist, &deps));
+    diagnostics.extend(hotpath::check(&all_facts, &allowlist, &deps));
+    diagnostics.extend(termination::check(&all_facts, &allowlist, &deps));
+    diagnostics.extend(stale::check(&all_facts, &allowlist));
+    // A global pass can reach one conclusion along several paths, so
+    // its output is deduplicated. A per-file finding is one site: two
+    // sites on one line (`v[i][j]`) stay two findings.
+    diagnostics.sort();
+    diagnostics.dedup();
+
+    // Per-file findings — the token tier and the local A2 findings —
+    // minus inline waivers and allowlist entries of their rule.
     for ff in &all_facts {
-        for d in &ff.a2_local {
+        for d in ff.lint_prod.iter().chain(&ff.a2_local) {
             if !inline_waived(ff, &d.rule, d.line) && !allowlist_waived(&allowlist, ff, &d.rule) {
                 diagnostics.push(Diagnostic {
                     path: ff.rel_path.clone(),
@@ -223,17 +228,7 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
             }
         }
     }
-
-    diagnostics.extend(graph::check(&all_facts, &allowlist, &deps));
-    diagnostics.extend(interval::check(&all_facts, &srcs, &allowlist, &deps));
-    diagnostics.extend(concurrency::check(&all_facts, &allowlist, &deps));
-    diagnostics.extend(determinism::check(&all_facts, &allowlist, &deps));
-    diagnostics.extend(hotpath::check(&all_facts, &allowlist, &deps));
-    diagnostics.extend(termination::check(&all_facts, &allowlist, &deps));
-    diagnostics.extend(stale::check(&all_facts, &allowlist));
-
     diagnostics.sort();
-    diagnostics.dedup();
 
     if use_cache {
         cache::store_global(&cache_dir, fingerprint, &diagnostics)?;
@@ -242,38 +237,76 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
     Ok(Analysis {
         diagnostics,
         files_total: files.len(),
-        files_reparsed: reparsed,
+        files_reparsed: all_facts.len(),
         parse_us,
     })
 }
 
-/// Does an inline `// lint: allow(rule): reason` waiver cover `line`?
-/// (A waiver on line *w* covers findings on *w* and *w + 1*.)
-#[must_use]
-pub fn inline_waived(ff: &FileFacts, rule: &str, line: u32) -> bool {
-    ff.waivers.iter().any(|w| {
-        matches!(&w.kind, WaiverKind::Allow(r) if r == rule)
-            && (w.line == line || w.line.saturating_add(1) == line)
-    })
+/// Does an inline `// analyze: allow(rule): reason` waiver cover
+/// `line`? (A waiver on line *w* covers findings on *w* and *w + 1*.)
+/// The one place any rule reads inline waivers.
+pub(crate) fn inline_waived(ff: &FileFacts, rule: &str, line: u32) -> bool {
+    ff.waivers
+        .iter()
+        .any(|w| w.rule == rule && (w.line == line || w.line.saturating_add(1) == line))
 }
 
 /// Does a whole-file `lint.allow.toml` entry cover `(file, rule)`?
-#[must_use]
-pub fn allowlist_waived(allowlist: &[AllowEntry], ff: &FileFacts, rule: &str) -> bool {
-    allowlist
-        .iter()
-        .any(|e| e.rule == rule && e.covers(&ff.rel_path))
+pub(crate) fn allowlist_waived(allowlist: &[AllowEntry], ff: &FileFacts, rule: &str) -> bool {
+    allowlist.iter().any(|e| e.matches(rule, &ff.rel_path))
 }
 
-/// Parse `lint.allow.toml` at the workspace root (absent file = empty).
-fn read_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
+/// Read and parse `lint.allow.toml` at the workspace root, returning
+/// its text (for the fingerprint) and entries. An absent file is empty.
+fn read_allowlist(root: &Path) -> Result<(String, Vec<AllowEntry>), String> {
     let path = root.join("lint.allow.toml");
     if !path.is_file() {
-        return Ok(Vec::new());
+        return Ok((String::new(), Vec::new()));
     }
-    let src =
+    let text =
         fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    allow::parse(&src)
+    let entries = allow::parse(&text)?;
+    Ok((text, entries))
+}
+
+/// Directories whose `.rs` files are exempt from analysis (test code,
+/// fixtures, vendored shims, build output).
+const SKIP_DIRS: &[&str] = &[
+    "tests", "benches", "examples", "fixtures", "target", "vendor", ".git",
+];
+
+/// Collect every analyzable `.rs` file under `root`: the facade
+/// package's `src/` plus each `crates/*/src` tree, skipping
+/// [`SKIP_DIRS`].
+fn collect_workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files = Vec::new();
+    for dir in [root.join("src"), root.join("crates")] {
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries =
+        fs::read_dir(dir).map_err(|e| format!("cannot read dir {}: {e}", dir.display()))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("read_dir error under {}: {e}", dir.display()))?;
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if SKIP_DIRS.contains(&name.as_ref()) {
+                continue;
+            }
+            walk(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 /// Direct `rto-*` dependencies of each crate, from `crates/*/Cargo.toml`
@@ -352,7 +385,7 @@ mod tests {
     fn inline_waiver_coverage() {
         let mut ff = FileFacts::default();
         ff.waivers.push(facts::WaiverComment {
-            kind: WaiverKind::Allow("A2".into()),
+            rule: "A2".into(),
             line: 10,
         });
         assert!(inline_waived(&ff, "A2", 10));

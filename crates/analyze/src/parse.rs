@@ -1,8 +1,7 @@
 //! Phase 1: token-stream parsing of one file into [`FileFacts`].
 //!
-//! Reuses `rto-lint`'s lexer (strings opaque, maximal-munch
-//! punctuation, comments preserved by line) and test-region stripper,
-//! then walks the token stream with a small recursive item scanner:
+//! Runs the token tier ([`crate::rules`]) on the lexed file, then walks
+//! the test-stripped token stream with a small recursive item scanner:
 //!
 //! ```text
 //! items := (attr* vis? (impl | trait | mod | fn | other-item))*
@@ -17,14 +16,13 @@
 use crate::facts::{
     A4Site, AllocFact, AllocKind, AtomicFact, BlockFact, CallFact, FileFacts, FnFact, LoopFact,
     LoopKind, NondetFact, NondetKind, RawFinding, SeedFact, SeedKind, Unit, WaiverComment,
-    WaiverKind,
 };
 use crate::interval;
-use rto_lint::lexer::{lex, Lexed, TokKind, Token};
-use rto_lint::rules::{self, FileCtx, Finding};
+use crate::lexer::{lex, Lexed, TokKind, Token};
+use crate::rules::{self, FileCtx};
 use std::collections::{HashMap, HashSet};
 
-/// Crates whose bare indexing counts as an A1 seed (mirrors lint L3's
+/// Crates whose bare indexing counts as an A1 seed (mirrors L3's
 /// library-crate scope).
 const INDEX_SEED_CRATES: &[&str] = &["core", "mckp", "sim", "server", "obs", "stats", "workloads"];
 
@@ -181,10 +179,9 @@ pub(crate) fn stripped_tokens(src: &str) -> Vec<Token> {
     rules::strip_test_regions(&lex(src).tokens)
 }
 
-/// Parse one source file into facts. Pure in `(rel_path, src)` — the
-/// allowlist is *not* consulted here so cached facts stay valid when
-/// `lint.allow.toml` changes; whole-file waivers are applied in the
-/// global phase.
+/// Parse one source file into facts. Pure in `(rel_path, src)`: no
+/// waiver or allowlist entry is applied here; the global phase applies
+/// both, the same way for every rule.
 #[must_use]
 pub fn parse_file(rel_path: &str, src: &str) -> FileFacts {
     let ctx = FileCtx::from_rel_path(rel_path);
@@ -194,19 +191,11 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileFacts {
     let mut facts = FileFacts {
         rel_path: ctx.rel_path.clone(),
         crate_dir: ctx.crate_dir.clone(),
-        lint_prod: findings_to_raw(&rules::check(&ctx, &lexed, &stripped)),
-        lint_all: findings_to_raw(&rules::check(&ctx, &lexed, &lexed.tokens)),
+        lint_prod: rules::check(&ctx, &stripped),
+        lint_all: rules::check(&ctx, &lexed.tokens),
         ..FileFacts::default()
     };
     facts.waivers = collect_waivers(&lexed);
-    facts.relaxed_lines = lexed
-        .tokens
-        .iter()
-        .filter(|t| t.is_ident("Relaxed"))
-        .map(|t| t.line)
-        .collect();
-    facts.relaxed_lines.sort_unstable();
-    facts.relaxed_lines.dedup();
 
     let index_seeds = ctx
         .crate_dir
@@ -355,61 +344,35 @@ fn collect_hash_idents(toks: &[Token]) -> HashSet<String> {
     out
 }
 
-fn findings_to_raw(findings: &[Finding]) -> Vec<RawFinding> {
-    findings
-        .iter()
-        .map(|f| RawFinding {
-            rule: f.rule.to_string(),
-            line: f.line,
-            severity: f.severity.as_str().to_string(),
-            message: f.message.clone(),
-        })
-        .collect()
-}
-
-/// Pull `// lint: allow(Rx): reason` and `// lint: relaxed-ok: reason`
-/// comments out of the comment map.
+/// The one waiver reader: every `// analyze: allow(RULE): reason` in
+/// the comment map, for every rule.
 ///
 /// Doc comments (`///`, `//!`) are skipped: they routinely *describe*
 /// the waiver syntax (this very workspace documents it) without waiving
-/// anything. A rule id must look like a real id (`L3`, `A1`, …) and a
-/// non-empty reason must follow, mirroring `rules::has_reason`.
+/// anything. The rule id must look like a real id (`L3`, `A1`, …), and
+/// a `:` and a non-empty reason must follow the closing parenthesis.
 fn collect_waivers(lexed: &Lexed) -> Vec<WaiverComment> {
+    const MARKER: &str = "analyze: allow(";
     let mut out = Vec::new();
     for (&line, text) in &lexed.comments {
         if text.starts_with("///") || text.starts_with("//!") {
             continue;
         }
-        // Two spellings share one machinery: `lint:` for the L-rules
-        // and the original A-rules, `analyze:` for the A6/A7 sanctions.
-        for prefix in ["lint: allow(", "analyze: allow("] {
-            if let Some(idx) = text.find(prefix) {
-                let rest = &text[idx + prefix.len()..];
-                if let Some(close) = rest.find(')') {
-                    let rule = rest[..close].trim().to_string();
-                    let reason = rest[close + 1..].trim_start_matches(':').trim();
-                    if is_rule_id(&rule) && !reason.is_empty() {
-                        out.push(WaiverComment {
-                            kind: WaiverKind::Allow(rule),
-                            line,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(idx) = text.find("lint: relaxed-ok") {
-            let reason = text[idx + "lint: relaxed-ok".len()..]
-                .trim_start_matches(':')
-                .trim();
-            if !reason.is_empty() {
+        for (idx, _) in text.match_indices(MARKER) {
+            let rest = &text[idx + MARKER.len()..];
+            let Some((rule, tail)) = rest.split_once(')') else {
+                continue;
+            };
+            let reason = tail.strip_prefix(':').map_or("", str::trim);
+            if is_rule_id(rule) && !reason.is_empty() {
                 out.push(WaiverComment {
-                    kind: WaiverKind::RelaxedOk,
+                    rule: rule.to_string(),
                     line,
                 });
             }
         }
     }
-    out.sort_by_key(|w| w.line);
+    out.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     out
 }
 
@@ -1081,7 +1044,6 @@ impl Scanner<'_> {
                     depth,
                     desc: "`loop`".into(),
                     witness,
-                    waived: self.sanctioned("A8", t.line),
                 });
                 spans.push((bs, be));
                 self.extract_loops(bs, be, depth + 1, loops, spans);
@@ -1143,7 +1105,6 @@ impl Scanner<'_> {
             // `while let` loops.
             desc: format!("`while {}`", self.snippet(cond_start, j)),
             witness,
-            waived: self.sanctioned("A8", line),
         });
         spans.push((bs, be));
         self.extract_loops(bs, be, depth + 1, loops, spans);
@@ -1282,7 +1243,6 @@ impl Scanner<'_> {
             depth,
             desc: format!("`for … in {}`", self.snippet(is_, ie)),
             witness,
-            waived: self.sanctioned("A8", line),
         });
         spans.push((bs, be));
         self.extract_loops(bs, be, depth + 1, loops, spans);
@@ -1465,7 +1425,11 @@ impl Scanner<'_> {
                         if let Some(v) = self.tok(k).filter(|v| v.kind == TokKind::Ident) {
                             if self.hash_idents.contains(&v.text) && self.is_punct(k + 1, "{") {
                                 let desc = format!("`for` over hash-ordered `{}`", v.text);
-                                let nd = self.nondet(NondetKind::HashIter, v.line, desc);
+                                let nd = NondetFact {
+                                    kind: NondetKind::HashIter,
+                                    line: v.line,
+                                    desc,
+                                };
                                 fact.nondet.push(nd);
                             }
                         }
@@ -1481,11 +1445,19 @@ impl Scanner<'_> {
             if t.kind == TokKind::Ident && self.is_punct(i + 1, "!") {
                 match t.text.as_str() {
                     "format" => {
-                        let a = self.alloc(AllocKind::Str, t.line, "`format!`".into());
+                        let a = AllocFact {
+                            kind: AllocKind::Str,
+                            line: t.line,
+                            desc: "`format!`".into(),
+                        };
                         fact.allocs.push(a);
                     }
                     "vec" => {
-                        let a = self.alloc(AllocKind::Collect, t.line, "`vec![..]`".into());
+                        let a = AllocFact {
+                            kind: AllocKind::Collect,
+                            line: t.line,
+                            desc: "`vec![..]`".into(),
+                        };
                         fact.allocs.push(a);
                     }
                     _ => {}
@@ -1496,7 +1468,10 @@ impl Scanner<'_> {
                 && PANIC_MACROS.contains(&t.text.as_str())
                 && self.is_punct(i + 1, "!")
             {
-                fact.seeds.push(self.seed(SeedKind::PanicMacro, t.line));
+                fact.seeds.push(SeedFact {
+                    kind: SeedKind::PanicMacro,
+                    line: t.line,
+                });
                 i += 2;
                 continue;
             }
@@ -1508,8 +1483,14 @@ impl Scanner<'_> {
                 let callee = self.toks[i + 1].text.clone();
                 let line = self.toks[i + 1].line;
                 match callee.as_str() {
-                    "unwrap" => fact.seeds.push(self.seed(SeedKind::Unwrap, line)),
-                    "expect" => fact.seeds.push(self.seed(SeedKind::Expect, line)),
+                    "unwrap" => fact.seeds.push(SeedFact {
+                        kind: SeedKind::Unwrap,
+                        line,
+                    }),
+                    "expect" => fact.seeds.push(SeedFact {
+                        kind: SeedKind::Expect,
+                        line,
+                    }),
                     _ => {}
                 }
                 let args_end = self.skip_group(i + 2);
@@ -1550,19 +1531,37 @@ impl Scanner<'_> {
                     if let Some(red) = self.trailing_reduction(args_end, end) {
                         desc.push_str(&format!(" feeding an order-sensitive `{red}` reduction"));
                     }
-                    let nd = self.nondet(NondetKind::HashIter, line, desc);
+                    let nd = NondetFact {
+                        kind: NondetKind::HashIter,
+                        line,
+                        desc,
+                    };
                     fact.nondet.push(nd);
                 }
                 // A7: container growth and owned-string / collected
                 // allocations.
                 if GROW_METHODS.contains(&callee.as_str()) {
-                    let a = self.alloc(AllocKind::GrowPush, line, format!("`{recv}.{callee}(..)`"));
+                    let desc = format!("`{recv}.{callee}(..)`");
+                    let a = AllocFact {
+                        kind: AllocKind::GrowPush,
+                        line,
+                        desc,
+                    };
                     fact.allocs.push(a);
                 } else if matches!(callee.as_str(), "to_string" | "to_owned") {
-                    let a = self.alloc(AllocKind::Str, line, format!("`.{callee}()`"));
+                    let desc = format!("`.{callee}()`");
+                    let a = AllocFact {
+                        kind: AllocKind::Str,
+                        line,
+                        desc,
+                    };
                     fact.allocs.push(a);
                 } else if callee == "collect" {
-                    let a = self.alloc(AllocKind::Collect, line, "`.collect()`".into());
+                    let a = AllocFact {
+                        kind: AllocKind::Collect,
+                        line,
+                        desc: "`.collect()`".into(),
+                    };
                     fact.allocs.push(a);
                 }
                 if ATOMIC_OPS.contains(&callee.as_str()) {
@@ -1668,7 +1667,11 @@ impl Scanner<'_> {
                     _ => None,
                 };
                 if let Some((kind, desc)) = nondet {
-                    let nd = self.nondet(kind, t.line, desc);
+                    let nd = NondetFact {
+                        kind,
+                        line: t.line,
+                        desc,
+                    };
                     fact.nondet.push(nd);
                 }
                 // A7: heap boxes and owned strings behind path calls.
@@ -1683,7 +1686,11 @@ impl Scanner<'_> {
                     _ => None,
                 };
                 if let Some((kind, desc)) = alloc {
-                    let a = self.alloc(kind, t.line, desc);
+                    let a = AllocFact {
+                        kind,
+                        line: t.line,
+                        desc,
+                    };
                     fact.allocs.push(a);
                 }
                 fact.calls.push(CallFact {
@@ -1700,9 +1707,12 @@ impl Scanner<'_> {
                 i += 2;
                 continue;
             }
-            // Indexing seeds (same heuristic as lint L3).
+            // Indexing seeds (same heuristic as L3).
             if self.index_seeds && t.is_punct("[") && self.ends_operand(i.wrapping_sub(1)) {
-                fact.seeds.push(self.seed(SeedKind::Index, t.line));
+                fact.seeds.push(SeedFact {
+                    kind: SeedKind::Index,
+                    line: t.line,
+                });
                 i += 1;
                 continue;
             }
@@ -1742,7 +1752,7 @@ impl Scanner<'_> {
         }
     }
 
-    /// Mirrors the lint L3 operand heuristic.
+    /// Mirrors the L3 operand heuristic.
     fn ends_operand(&self, i: usize) -> bool {
         self.tok(i).is_some_and(|t| {
             (t.kind == TokKind::Ident && !is_expr_keyword(&t.text))
@@ -1750,45 +1760,6 @@ impl Scanner<'_> {
                 || t.is_punct(")")
                 || t.is_punct("]")
         })
-    }
-
-    fn seed(&self, kind: SeedKind, line: u32) -> SeedFact {
-        let waived = ["L3", "A1"].iter().any(|r| {
-            let marker = format!("lint: allow({r}):");
-            [line, line.saturating_sub(1)]
-                .iter()
-                .any(|l| rules::has_reason(self.lexed.comment_on(*l), &marker))
-        });
-        SeedFact { kind, line, waived }
-    }
-
-    /// A reviewed `// analyze: allow(Ax): reason` (or the legacy
-    /// `lint:` spelling) on this line or the one above.
-    fn sanctioned(&self, rule: &str, line: u32) -> bool {
-        ["analyze", "lint"].iter().any(|ns| {
-            let marker = format!("{ns}: allow({rule}):");
-            [line, line.saturating_sub(1)]
-                .iter()
-                .any(|l| rules::has_reason(self.lexed.comment_on(*l), &marker))
-        })
-    }
-
-    fn nondet(&self, kind: NondetKind, line: u32, desc: String) -> NondetFact {
-        NondetFact {
-            kind,
-            line,
-            waived: self.sanctioned("A6", line),
-            desc,
-        }
-    }
-
-    fn alloc(&self, kind: AllocKind, line: u32, desc: String) -> AllocFact {
-        AllocFact {
-            kind,
-            line,
-            waived: self.sanctioned("A7", line),
-            desc,
-        }
     }
 
     /// An order-sensitive reduction (`.sum()`, `.fold(..)`) in the rest
@@ -2108,16 +2079,6 @@ mod tests {
         assert_eq!(q.as_deref(), Some("Duration"));
         assert_eq!(fun.seeds.len(), 1);
         assert_eq!(fun.seeds[0].kind, SeedKind::Unwrap);
-        assert!(!fun.seeds[0].waived);
-    }
-
-    #[test]
-    fn waived_seed_is_marked() {
-        let f = parse(
-            "fn f(x: Option<u8>) -> u8 {\n    // lint: allow(L3): reviewed contract\n    \
-             x.unwrap()\n}\n",
-        );
-        assert!(f.fns[0].seeds[0].waived);
     }
 
     #[test]
@@ -2160,12 +2121,20 @@ mod tests {
     }
 
     #[test]
-    fn waiver_comments_collected() {
+    fn waiver_comments_follow_one_grammar() {
         let f = parse(
-            "// lint: allow(L1): reason here\nfn f() {}\n// lint: relaxed-ok: tally\nfn g() {}\n",
+            "// analyze: allow(L1): reason here\n\
+             /// analyze: allow(L2): a doc comment only describes the syntax\n\
+             // analyze: allow(L3):\n\
+             // analyze: allow(L4) the colon is missing\n\
+             // analyze: allow(X9): not a rule id\n\
+             // analyze: allow(A7): one reason; analyze: allow(A8): another\n",
         );
-        assert_eq!(f.waivers.len(), 2);
-        assert_eq!(f.waivers[0].kind, WaiverKind::Allow("L1".into()));
-        assert_eq!(f.waivers[1].kind, WaiverKind::RelaxedOk);
+        let got: Vec<(u32, &str)> = f
+            .waivers
+            .iter()
+            .map(|w| (w.line, w.rule.as_str()))
+            .collect();
+        assert_eq!(got, [(1, "L1"), (6, "A7"), (6, "A8")]);
     }
 }

@@ -24,8 +24,7 @@ const RULES: &[(&str, &str)] = &[
     ),
     (
         "A3",
-        "Stale waiver: an allowlist entry or inline lint waiver no longer matches any \
-         finding.",
+        "Stale waiver: an allowlist entry or inline waiver no longer matches any finding.",
     ),
     (
         "A4",
@@ -54,6 +53,34 @@ const RULES: &[(&str, &str)] = &[
         "Termination hazard: a loop without a trip-count bound or monotone progress \
          witness, recursion without a decreasing argument, or a \u{22a4}-step-bound \
          function reachable from a `// analyze: hot-path` root.",
+    ),
+    (
+        "L1",
+        "Raw nanosecond arithmetic: `+ - * / %` on a `*_ns` value or an `as_ns()` result \
+         outside core/src/time.rs.",
+    ),
+    (
+        "L2",
+        "Exact float comparison: `==` or `!=` against a float literal.",
+    ),
+    (
+        "L3",
+        "Panic in library code: unwrap/expect/panic-family macro (deny) or bare slice \
+         indexing (warn) in a library crate.",
+    ),
+    (
+        "L4",
+        "Lossy time cast: an `as` cast that can truncate a nanosecond value.",
+    ),
+    (
+        "L5",
+        "Wall clock in a seed-deterministic crate: `std::time` or `SystemTime` in core or \
+         sim.",
+    ),
+    (
+        "L6",
+        "Unjustified relaxed ordering: `Ordering::Relaxed` in obs without a waiver stating \
+         why no happens-before edge is needed.",
     ),
 ];
 
@@ -199,7 +226,9 @@ mod tests {
         let s = sarif(&d);
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("sarif-schema-2.1.0.json"));
-        for id in ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"] {
+        for id in [
+            "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "L1", "L2", "L3", "L4", "L5", "L6",
+        ] {
             assert!(s.contains(&format!("\"id\": \"{id}\"")), "{s}");
         }
         assert!(s.contains("\"level\": \"error\""));

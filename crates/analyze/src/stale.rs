@@ -6,21 +6,20 @@
 //!
 //! * A `lint.allow.toml` entry is stale when **no** file matching its
 //!   `path` has a production (test-stripped) finding of its rule.
-//! * An inline `// lint: allow(Lx): reason` comment is stale when no
-//!   full-stream finding of rule `Lx` sits on its line or the next
+//! * An inline `// analyze: allow(Lx): reason` comment is stale when
+//!   no full-stream finding of rule `Lx` sits on its line or the next
 //!   (full stream, because waivers legitimately live in test code).
-//! * `// lint: allow(A1|A2)` must cover a panic seed / local A2
-//!   finding on its line or the next.
-//! * `// lint: relaxed-ok: reason` must sit on or directly above a
-//!   line containing an `Ordering::Relaxed` token.
+//! * `// analyze: allow(Ax): reason` must cover a site of its rule (a
+//!   panic seed for A1, a local finding for A2, …) on its line or the
+//!   next.
 
-use crate::facts::{FileFacts, WaiverKind};
+use crate::allow::AllowEntry;
+use crate::facts::FileFacts;
 use crate::Diagnostic;
-use rto_lint::allow::AllowEntry;
 
 /// Detect stale allowlist entries and stale inline waivers.
 #[must_use]
-pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
+pub(crate) fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     for entry in allowlist {
@@ -61,37 +60,37 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
     for ff in files {
         for w in &ff.waivers {
             let lines = [w.line, w.line.saturating_add(1)];
-            let (live, what) = match &w.kind {
-                WaiverKind::Allow(rule) if rule == "A1" => (
+            let (live, what) = match w.rule.as_str() {
+                "A1" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.seeds)
                         .any(|s| lines.contains(&s.line)),
                     "a panic-family seed".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A2" => (
+                "A2" => (
                     ff.a2_local.iter().any(|f| lines.contains(&f.line)),
                     "an A2 unit finding".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A4" => (
+                "A4" => (
                     ff.a4.iter().any(|s| lines.contains(&s.line)),
                     "an A4 interval site".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A6" => (
+                "A6" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.nondet)
                         .any(|n| lines.contains(&n.line)),
                     "an A6 nondeterminism source".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A7" => (
+                "A7" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.allocs)
                         .any(|a| lines.contains(&a.line)),
                     "an A7 allocation site".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A8" => (
+                "A8" => (
                     // A loop sanction sits above the loop keyword; a
                     // recursion / hot-path sanction sits above the
                     // `fn` line of a function that makes calls.
@@ -101,7 +100,7 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
                     }),
                     "an A8 loop or recursive function".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A5" => (
+                "A5" => (
                     ff.atomics
                         .iter()
                         .any(|a| a.ordering != "Relaxed" && lines.contains(&a.line))
@@ -114,33 +113,23 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
                         }),
                     "an A5 concurrency site".to_string(),
                 ),
-                WaiverKind::Allow(rule) => (
+                rule => (
                     ff.lint_all
                         .iter()
-                        .any(|f| &f.rule == rule && lines.contains(&f.line)),
+                        .any(|f| f.rule == rule && lines.contains(&f.line)),
                     format!("an {rule} finding"),
-                ),
-                WaiverKind::RelaxedOk => (
-                    ff.relaxed_lines.iter().any(|l| lines.contains(l)),
-                    "an `Ordering::Relaxed` use".to_string(),
                 ),
             };
             if !live {
-                let label = match &w.kind {
-                    WaiverKind::Allow(rule) if rule == "A6" || rule == "A7" || rule == "A8" => {
-                        format!("analyze: allow({rule})")
-                    }
-                    WaiverKind::Allow(rule) => format!("lint: allow({rule})"),
-                    WaiverKind::RelaxedOk => "lint: relaxed-ok".to_string(),
-                };
                 out.push(Diagnostic {
                     path: ff.rel_path.clone(),
                     line: w.line,
                     rule: "A3".into(),
                     severity: "deny".into(),
                     message: format!(
-                        "stale inline waiver `{label}`: {what} no longer exists on this \
-                         line or the next \u{2014} remove the comment"
+                        "stale inline waiver `analyze: allow({})`: {what} no longer exists \
+                         on this line or the next \u{2014} remove the comment",
+                        w.rule
                     ),
                 });
             }
@@ -159,7 +148,6 @@ mod tests {
         AllowEntry {
             path: path.into(),
             rule: rule.into(),
-            reason: "test".into(),
             defined_at: 3,
         }
     }
@@ -214,7 +202,7 @@ mod tests {
     fn stale_inline_waiver_is_denied() {
         let ff = parse_file(
             "crates/core/src/x.rs",
-            "fn f() {\n    // lint: allow(L3): nothing here anymore\n    let _x = 1;\n}\n",
+            "fn f() {\n    // analyze: allow(L3): nothing here anymore\n    let _x = 1;\n}\n",
         );
         let diags = check(&[ff], &[]);
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -226,24 +214,24 @@ mod tests {
         let ff = parse_file(
             "crates/core/src/x.rs",
             "fn f(v: &[u8], i: usize) -> u8 {\n    \
-             // lint: allow(L3): structurally in bounds\n    v[i]\n}\n",
+             // analyze: allow(L3): structurally in bounds\n    v[i]\n}\n",
         );
         let diags = check(&[ff], &[]);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn relaxed_ok_requires_relaxed_token() {
+    fn l6_waiver_requires_relaxed_token() {
         let live = parse_file(
             "crates/obs/src/x.rs",
             "fn f(c: &std::sync::atomic::AtomicU64) {\n    \
-             // lint: relaxed-ok: independent counter\n    \
+             // analyze: allow(L6): independent counter\n    \
              c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);\n}\n",
         );
         assert!(check(&[live], &[]).is_empty());
         let dead = parse_file(
             "crates/obs/src/x.rs",
-            "fn f() {\n    // lint: relaxed-ok: nothing\n    let _x = 1;\n}\n",
+            "fn f() {\n    // analyze: allow(L6): nothing\n    let _x = 1;\n}\n",
         );
         assert_eq!(check(&[dead], &[]).len(), 1);
     }

@@ -33,10 +33,10 @@
 //! must not become a cycle. The cost is under-approximation on
 //! method-call edges, recorded as a soundness caveat in DESIGN.md §16.
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, LoopKind};
 use crate::interval::tarjan_sccs;
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Workspace-relative files whose A8 loop/recursion findings are
@@ -184,7 +184,7 @@ fn render_bound(b: Bound) -> String {
 
 /// Run the A8 termination audit over every file's facts.
 #[must_use]
-pub fn check(
+pub(crate) fn check(
     files: &[FileFacts],
     allowlist: &[AllowEntry],
     deps: &HashMap<String, Vec<String>>,
@@ -294,7 +294,7 @@ pub fn check(
         let Some(sev) = severity_of(ff) else { continue };
         for f in &ff.fns {
             for l in &f.loops {
-                if l.kind.is_bounded() || l.waived {
+                if l.kind.is_bounded() {
                     continue;
                 }
                 if inline_waived(ff, "A8", l.line) || allowlist_waived(allowlist, ff, "A8") {
@@ -383,7 +383,7 @@ pub fn check(
         let mut depth_max = 0u32;
         let mut cause: Option<(String, u32)> = None;
         for l in &f.loops {
-            if !l.kind.is_bounded() && !l.waived && !file_waived {
+            if !l.kind.is_bounded() && !file_waived && !inline_waived(ff, "A8", l.line) {
                 cause.get_or_insert_with(|| (l.desc.clone(), l.line));
             }
             depth_max = depth_max.max(l.depth);

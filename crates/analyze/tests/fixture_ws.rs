@@ -423,14 +423,21 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-#[test]
-fn warm_cache_diagnostics_are_byte_identical() {
-    let tmp = std::env::temp_dir().join(format!("rto-analyze-fixture-{}", std::process::id()));
+/// A fresh copy of the fixture workspace under the temp dir.
+fn temp_copy(tag: &str) -> PathBuf {
+    let tmp =
+        std::env::temp_dir().join(format!("rto-analyze-fixture-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     copy_tree(&fixture_root(), &tmp);
+    tmp
+}
 
+#[test]
+fn warm_cache_diagnostics_are_byte_identical() {
+    let tmp = temp_copy("warm");
     let cold = analyze_workspace(&tmp, true).expect("cold run");
     let warm = analyze_workspace(&tmp, true).expect("warm run");
+    assert_eq!(cold.files_reparsed, cold.files_total);
     assert_eq!(
         warm.files_reparsed, 0,
         "warm run must be served entirely from cache"
@@ -440,6 +447,48 @@ fn warm_cache_diagnostics_are_byte_identical() {
         sarif::sarif(&warm.diagnostics),
         "warm-cache diagnostics drifted from the cold run"
     );
+
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Run the analyzer on `root` with and without the cache: the two
+/// must agree and differ from `before`. Returns the new SARIF.
+fn assert_cache_follows(root: &Path, before: &str, what: &str) -> String {
+    let cached = analyze_workspace(root, true).expect("cached run");
+    let fresh = analyze_workspace(root, false).expect("uncached run");
+    let cached = sarif::sarif(&cached.diagnostics);
+    assert_eq!(
+        cached,
+        sarif::sarif(&fresh.diagnostics),
+        "{what}: the cached run replayed stale diagnostics"
+    );
+    assert_ne!(
+        cached, before,
+        "{what}: the edit must change the diagnostics"
+    );
+    cached
+}
+
+#[test]
+fn cached_runs_follow_each_edit() {
+    let tmp = temp_copy("edits");
+    let cold = sarif::sarif(&analyze_workspace(&tmp, true).expect("cold").diagnostics);
+
+    // A new public core fn that unwraps: A1 and L3 findings appear.
+    let core_lib = tmp.join("crates/core/src/lib.rs");
+    let mut src = std::fs::read_to_string(&core_lib).expect("read lib.rs");
+    src.push_str("\npub fn fresh(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n");
+    std::fs::write(&core_lib, src).expect("write lib.rs");
+    let after_fn = assert_cache_follows(&tmp, &cold, "new unwrapping fn");
+
+    // The stale `gone.rs` allowlist entry deleted: its A3 finding goes.
+    let allow = tmp.join("lint.allow.toml");
+    let text = std::fs::read_to_string(&allow).expect("read allowlist");
+    let at = text
+        .find("[[allow]]\npath = \"crates/core/src/gone.rs\"\n")
+        .expect("gone.rs entry");
+    std::fs::write(&allow, &text[..at]).expect("write allowlist");
+    assert_cache_follows(&tmp, &after_fn, "stale entry deleted");
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

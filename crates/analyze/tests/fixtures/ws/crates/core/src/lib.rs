@@ -17,7 +17,7 @@ pub fn schedule(slots: Option<u32>) -> u32 {
 
 /// Waived: the panic is a documented contract, so A1 stays quiet.
 pub fn contract(x: Option<u32>) -> u32 {
-    // lint: allow(A1): fixture documented contract, caller validates
+    // analyze: allow(A1): fixture documented contract, caller validates
     x.unwrap()
 }
 

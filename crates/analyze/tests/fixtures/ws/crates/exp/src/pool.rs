@@ -32,7 +32,7 @@ pub fn bump(counter: &AtomicU64) -> u64 {
 /// Justified ordering: the inline waiver keeps A5 quiet (and A3 keeps
 /// the waiver honest).
 pub fn publish(counter: &AtomicU64) {
-    // lint: allow(A5): fixture release fence pairs with an Acquire load in the reader
+    // analyze: allow(A5): fixture release fence pairs with an Acquire load in the reader
     counter.store(1, Ordering::Release);
 }
 

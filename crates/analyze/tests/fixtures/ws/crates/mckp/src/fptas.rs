@@ -45,6 +45,6 @@ pub fn per_item_guarded(total: u64, k: u64) -> u64 {
 /// Waived: the narrowing is documented, so A4 stays quiet (and A3
 /// keeps the waiver honest).
 pub fn waived_narrow(p: f64) -> u32 {
-    // lint: allow(A4): fixture documented saturation, caller pre-clamps
+    // analyze: allow(A4): fixture documented saturation, caller pre-clamps
     p as u32
 }

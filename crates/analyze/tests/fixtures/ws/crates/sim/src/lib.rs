@@ -14,6 +14,6 @@ pub fn drift(delta_ns: u64, jitter_ms: f64) -> f64 {
     jitter_ms + delta_ns as f64
 }
 
-// lint: allow(L1): fixture stale waiver, nothing to waive here
+// analyze: allow(L1): fixture stale waiver, nothing to waive here
 pub fn quiet() {}
 pub mod report;

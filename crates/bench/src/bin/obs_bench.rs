@@ -41,7 +41,7 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: single-threaded tally read after a SeqCst fence at the end
+            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -53,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: single-threaded tally read after a SeqCst fence at the end
+            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -159,9 +159,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Handles are created before counting starts (registration allocates).
     let counter = counted.metrics().counter("bench_events_total");
     let histogram = counted.metrics().histogram("bench_latency_ns");
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     COUNTING.store(true, Ordering::SeqCst);
     for round in 0..50_000u64 {
         let job_id = (round % 1024) as usize;
@@ -172,9 +172,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         counter.inc();
         histogram.record(round * 1_000);
     }
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     COUNTING.store(false, Ordering::SeqCst);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     let hot_path_allocs = ALLOCATIONS.load(Ordering::SeqCst);
 
     // Enabled in-process sink.

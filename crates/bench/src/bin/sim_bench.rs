@@ -66,7 +66,7 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: single-threaded tally read after a SeqCst fence at the end
+            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -78,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: single-threaded tally read after a SeqCst fence at the end
+            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -285,14 +285,14 @@ fn count_hold_allocs(n: usize, ops: u64) -> u64 {
     let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
     let mut q = prefill(n, &mut rng);
     hold(&mut q, ops);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     COUNTING.store(true, Ordering::SeqCst);
     hold(&mut q, ops);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     COUNTING.store(false, Ordering::SeqCst);
-    // lint: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
+    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
@@ -340,7 +340,7 @@ fn run_engine(tasks: usize) -> Result<(f64, String), Box<dyn std::error::Error>>
                 .with_exec_time(ExecutionTimeModel::UniformFraction { min_fraction: 0.4 }),
         )?;
     let elapsed = Duration::from_ns(sw.elapsed_ns()).as_secs_f64();
-    // lint: allow(A4): released is a usize job count; the widening is lossless
+    // analyze: allow(A4): released is a usize job count; the widening is lossless
     let jobs: u64 = report.per_task.iter().map(|t| t.released as u64).sum();
     let bytes = serde_json::to_string(&report)?;
     Ok((jobs as f64 / elapsed.max(1e-9), bytes))

@@ -261,7 +261,7 @@ impl Duration {
 impl Add for Duration {
     type Output = Duration;
     fn add(self, rhs: Duration) -> Duration {
-        // lint: allow(L3): documented overflow policy — loud failure on logic error
+        // analyze: allow(L3): documented overflow policy — loud failure on logic error
         Duration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
@@ -275,7 +275,7 @@ impl AddAssign for Duration {
 impl Sub for Duration {
     type Output = Duration;
     fn sub(self, rhs: Duration) -> Duration {
-        // lint: allow(L3): documented overflow policy — loud failure on logic error
+        // analyze: allow(L3): documented overflow policy — loud failure on logic error
         Duration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
@@ -289,7 +289,7 @@ impl SubAssign for Duration {
 impl Mul<u64> for Duration {
     type Output = Duration;
     fn mul(self, rhs: u64) -> Duration {
-        // lint: allow(L3): documented overflow policy — loud failure on logic error
+        // analyze: allow(L3): documented overflow policy — loud failure on logic error
         Duration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
 }
@@ -369,7 +369,7 @@ impl Instant {
         Duration(
             self.0
                 .checked_sub(earlier.0)
-                // lint: allow(L3): documented precondition — `# Panics` contract
+                // analyze: allow(L3): documented precondition — `# Panics` contract
                 .expect("`earlier` is after `self`"),
         )
     }
@@ -386,7 +386,7 @@ impl Instant {
 impl Add<Duration> for Instant {
     type Output = Instant;
     fn add(self, rhs: Duration) -> Instant {
-        // lint: allow(L3): documented overflow policy — loud failure on logic error
+        // analyze: allow(L3): documented overflow policy — loud failure on logic error
         Instant(self.0.checked_add(rhs.as_ns()).expect("instant overflow"))
     }
 }
@@ -400,7 +400,7 @@ impl AddAssign<Duration> for Instant {
 impl Sub<Duration> for Instant {
     type Output = Instant;
     fn sub(self, rhs: Duration) -> Instant {
-        // lint: allow(L3): documented overflow policy — loud failure on logic error
+        // analyze: allow(L3): documented overflow policy — loud failure on logic error
         Instant(self.0.checked_sub(rhs.as_ns()).expect("instant underflow"))
     }
 }

@@ -5,7 +5,7 @@
 //! base seed, the point's content key, trial index, derived seed). The
 //! key is also embedded verbatim in the file header, so a hash
 //! collision can never serve the wrong payload — the embedded key
-//! disambiguates, exactly like `rto-analyze`'s fact cache.
+//! disambiguates before any payload is trusted.
 //!
 //! Because the key covers only *that trial's* inputs, editing one point
 //! of a sweep invalidates only that point's files: a warm re-run
@@ -65,7 +65,7 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
 }
 
 /// 64-bit FNV-1a over a byte string — the same keying hash
-/// `rto-analyze` uses for its fact cache; collisions are tolerated
+/// `rto-analyze` uses for its workspace fingerprint; collisions are tolerated
 /// because the full key is embedded in the entry.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {

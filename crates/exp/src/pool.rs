@@ -94,7 +94,7 @@ where
                     // through the cursor (results travel over the channel,
                     // which brings its own happens-before). Pinned by the
                     // loom model in `tests/loom_pool.rs`.
-                    // lint: relaxed-ok: pure index distribution; RMW atomicity alone guarantees uniqueness
+                    // Relaxed is enough: pure index distribution; RMW atomicity alone guarantees uniqueness
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;

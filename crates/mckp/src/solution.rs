@@ -20,7 +20,7 @@ impl Selection {
     ///
     /// Panics if `class` is out of range.
     pub fn choice(&self, class: usize) -> usize {
-        // lint: allow(L3): documented precondition — `# Panics` contract
+        // analyze: allow(L3): documented precondition — `# Panics` contract
         self.choices[class]
     }
 
@@ -45,7 +45,7 @@ impl Selection {
     ///
     /// Panics if `class` is out of range.
     pub fn set_choice(&mut self, class: usize, item: usize) -> usize {
-        // lint: allow(L3): documented precondition — `# Panics` contract
+        // analyze: allow(L3): documented precondition — `# Panics` contract
         std::mem::replace(&mut self.choices[class], item)
     }
 }

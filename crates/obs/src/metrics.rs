@@ -54,13 +54,13 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        // lint: relaxed-ok: independent monotonic tally; no ordering with other memory
+        // analyze: allow(L6): independent monotonic tally; no ordering with other memory
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read of an independent counter; staleness is acceptable
+        // analyze: allow(L6): snapshot read of an independent counter; staleness is acceptable
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -86,41 +86,41 @@ impl Gauge {
     /// Sets the value.
     #[inline]
     pub fn set(&self, v: f64) {
-        // lint: relaxed-ok: last-writer-wins gauge; no cross-variable ordering needed
+        // analyze: allow(L6): last-writer-wins gauge; no cross-variable ordering needed
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        // lint: relaxed-ok: monotone write tally; shard export tolerates a stale pairing
+        // analyze: allow(L6): monotone write tally; shard export tolerates a stale pairing
         self.seq.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: f64) {
-        // lint: relaxed-ok: CAS loop re-reads on failure; the single cell is the only shared state
+        // analyze: allow(L6): CAS loop re-reads on failure; the single cell is the only shared state
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + delta).to_bits();
             match self
                 .bits
-                // lint: relaxed-ok: success/failure both re-validate the same cell; no other memory is published
+                // analyze: allow(L6): success/failure both re-validate the same cell; no other memory is published
                 .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
             {
                 Ok(_) => break,
                 Err(actual) => cur = actual,
             }
         }
-        // lint: relaxed-ok: monotone write tally; shard export tolerates a stale pairing
+        // analyze: allow(L6): monotone write tally; shard export tolerates a stale pairing
         self.seq.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        // lint: relaxed-ok: snapshot read; staleness is acceptable for a gauge
+        // analyze: allow(L6): snapshot read; staleness is acceptable for a gauge
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
     /// Number of completed writes so far (the last-writer-wins stamp
     /// exported in shards).
     pub fn write_seq(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read of a monotone tally
+        // analyze: allow(L6): snapshot read of a monotone tally
         self.seq.load(Ordering::Relaxed)
     }
 }
@@ -220,52 +220,52 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         let c = &self.core;
         if let Some(slot) = c.counts.get(bucket_index(v)) {
-            // lint: relaxed-ok: per-field tallies; snapshot() tolerates torn cross-field views (count/sum/min/max may momentarily disagree)
+            // analyze: allow(L6): per-field tallies; snapshot() tolerates torn cross-field views (count/sum/min/max may momentarily disagree)
             slot.fetch_add(1, Ordering::Relaxed);
         }
-        // lint: relaxed-ok: see above — aggregate consistency is not promised mid-flight
+        // analyze: allow(L6): see above — aggregate consistency is not promised mid-flight
         c.count.fetch_add(1, Ordering::Relaxed);
-        // lint: relaxed-ok: see above
+        // analyze: allow(L6): see above
         let before = c.sum.fetch_add(v, Ordering::Relaxed);
         if before.checked_add(v).is_none() {
             // The add wrapped: pin the ceiling. Every later add of a
             // non-zero value wraps too and re-pins it.
-            // lint: relaxed-ok: the ceiling is a fixpoint; racing adds only re-store it
+            // analyze: allow(L6): the ceiling is a fixpoint; racing adds only re-store it
             c.sum.store(u64::MAX, Ordering::Relaxed);
         }
-        // lint: relaxed-ok: a stale read is never below the current min, so skipping is still a no-op
+        // analyze: allow(L6): a stale read is never below the current min, so skipping is still a no-op
         if v < c.min.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: fetch_min is idempotent and order-free
+            // analyze: allow(L6): fetch_min is idempotent and order-free
             c.min.fetch_min(v, Ordering::Relaxed);
         }
-        // lint: relaxed-ok: a stale read is never above the current max, so skipping is still a no-op
+        // analyze: allow(L6): a stale read is never above the current max, so skipping is still a no-op
         if v > c.max.load(Ordering::Relaxed) {
-            // lint: relaxed-ok: fetch_max is idempotent and order-free
+            // analyze: allow(L6): fetch_max is idempotent and order-free
             c.max.fetch_max(v, Ordering::Relaxed);
         }
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read
+        // analyze: allow(L6): snapshot read
         self.core.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
     pub fn sum(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read
+        // analyze: allow(L6): snapshot read
         self.core.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest observation (`None` when empty).
     pub fn min(&self) -> Option<u64> {
-        // lint: relaxed-ok: snapshot read; emptiness re-checked via count
+        // analyze: allow(L6): snapshot read; emptiness re-checked via count
         (self.count() > 0).then(|| self.core.min.load(Ordering::Relaxed))
     }
 
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<u64> {
-        // lint: relaxed-ok: snapshot read; emptiness re-checked via count
+        // analyze: allow(L6): snapshot read; emptiness re-checked via count
         (self.count() > 0).then(|| self.core.max.load(Ordering::Relaxed))
     }
 
@@ -283,14 +283,14 @@ impl Histogram {
     /// extreme). Storage stays dense, so recording never allocates.
     fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let c = &self.core;
-        // lint: relaxed-ok: snapshot read; the range is exact at rest and torn mid-flight like the other fields
+        // analyze: allow(L6): snapshot read; the range is exact at rest and torn mid-flight like the other fields
         let lo = bucket_index(c.min.load(Ordering::Relaxed));
-        // lint: relaxed-ok: as above
+        // analyze: allow(L6): as above
         let hi = bucket_index(c.max.load(Ordering::Relaxed));
         // An empty histogram has min > max, so the range is empty.
         let slots = c.counts.get(lo..=hi).unwrap_or_default();
         slots.iter().zip(lo..).map(|(slot, i)| {
-            // lint: relaxed-ok: snapshot read; exports are point-in-time
+            // analyze: allow(L6): snapshot read; exports are point-in-time
             (i, slot.load(Ordering::Relaxed))
         })
     }
@@ -386,7 +386,7 @@ impl Series {
     pub fn record(&self, ts_ns: u64, value: u64) {
         let mut inner = self.lock();
         let width = inner.bucket_width_ns.max(1);
-        // lint: allow(L1): bucket flooring on a u64 ns timestamp; obs sits below rto-core, so `Duration` is unavailable
+        // analyze: allow(L1): bucket flooring on a u64 ns timestamp; obs sits below rto-core, so `Duration` is unavailable
         let start_ns = ts_ns - ts_ns % width;
         // The window is small (64 buckets); a linear scan beats keeping
         // an index structure.

@@ -279,7 +279,7 @@ impl<W: Write + Send> JsonlSink<W> {
 
     /// Whether any write so far failed.
     pub fn had_io_error(&self) -> bool {
-        // lint: relaxed-ok: sticky error flag; readers only need eventual visibility
+        // analyze: allow(L6): sticky error flag; readers only need eventual visibility
         self.errored.load(Ordering::Relaxed)
     }
 
@@ -293,7 +293,7 @@ impl<W: Write + Send> JsonlSink<W> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if w.write_all(line.as_bytes()).is_err() || w.write_all(b"\n").is_err() {
-            // lint: relaxed-ok: sticky one-way flag; ordering with the write itself is irrelevant
+            // analyze: allow(L6): sticky one-way flag; ordering with the write itself is irrelevant
             self.errored.store(true, Ordering::Relaxed);
         }
     }
@@ -312,7 +312,7 @@ impl<W: Write + Send> JsonlSink<W> {
             // (lint L3).
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         w.flush()?;
-        // lint: relaxed-ok: sticky error flag read after the writer mutex synchronized
+        // analyze: allow(L6): sticky error flag read after the writer mutex synchronized
         if self.errored.load(Ordering::Relaxed) {
             return Err(std::io::Error::other("a trace write failed earlier"));
         }
@@ -343,7 +343,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if w.write_all(line.as_bytes()).is_err() {
-            // lint: relaxed-ok: sticky one-way flag; ordering with the write itself is irrelevant
+            // analyze: allow(L6): sticky one-way flag; ordering with the write itself is irrelevant
             self.errored.store(true, Ordering::Relaxed);
         }
     }
@@ -403,7 +403,7 @@ pub struct ChromeTraceSink {
 }
 
 fn chrome_ts(ts_ns: u64) -> f64 {
-    // lint: allow(L4): already-recorded observational ns sample; Chrome's trace format wants f64 microseconds
+    // analyze: allow(L4): already-recorded observational ns sample; Chrome's trace format wants f64 microseconds
     ts_ns as f64 / 1000.0
 }
 

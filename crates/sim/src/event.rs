@@ -387,14 +387,14 @@ impl CalendarQueue {
         // shift is at most 104 bits (see `slot_params`).
         let prod = u128::from(t).wrapping_mul(u128::from(self.slot_magic));
         let q = prod.checked_shr(self.slot_shift).unwrap_or(0);
-        // lint: allow(A4): the quotient never exceeds `t: u64`, so the narrowing is lossless
+        // analyze: allow(A4): the quotient never exceeds `t: u64`, so the narrowing is lossless
         q as u64
     }
 
     /// The ring mask widened for time math; `bucket_mask < MAX_BUCKETS
     /// = 2^20`, so the widening is lossless.
     fn mask_u64(&self) -> u64 {
-        // lint: allow(A4): bucket_mask < 2^20, usize -> u64 widening is lossless
+        // analyze: allow(A4): bucket_mask < 2^20, usize -> u64 widening is lossless
         self.bucket_mask as u64
     }
 

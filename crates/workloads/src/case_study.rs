@@ -115,7 +115,7 @@ pub fn table1() -> Vec<BenefitFunction> {
                     Duration::from_ms(LOCAL_WCET_MS[i]),
                 ));
             }
-            // lint: allow(L3): Table 1 constants are compile-time data validated by unit tests
+            // analyze: allow(L3): Table 1 constants are compile-time data validated by unit tests
             BenefitFunction::new(points).expect("Table 1 data satisfies the invariants")
         })
         .collect()
@@ -131,7 +131,7 @@ pub fn case_study_tasks() -> Vec<Task> {
                 .compensation_wcet(Duration::from_ms(LOCAL_WCET_MS[i]))
                 .period(Duration::from_ms(DEADLINE_MS[i]))
                 .build()
-                // lint: allow(L3): case-study constants are compile-time data validated by unit tests
+                // analyze: allow(L3): case-study constants are compile-time data validated by unit tests
                 .expect("case-study constants are valid")
         })
         .collect()

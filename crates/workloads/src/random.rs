@@ -81,7 +81,7 @@ pub fn random_system(params: &RandomSystemParams, rng: &mut Rng) -> Vec<OdmTask>
                 .compensation_wcet(c) // C_{i,2} = C_i
                 .period(Duration::from_ms(t_ms))
                 .build()
-                // lint: allow(L3): generator invariants (positive WCETs < period) hold by construction
+                // analyze: allow(L3): generator invariants (positive WCETs < period) hold by construction
                 .expect("generated parameters satisfy the model");
 
             // Increasing response times in [lo, hi).
@@ -105,7 +105,7 @@ pub fn random_system(params: &RandomSystemParams, rng: &mut Rng) -> Vec<OdmTask>
                 .collect();
             let benefit =
                 BenefitFunction::from_success_probabilities(0.0, &durations, &probabilities)
-                    // lint: allow(L3): durations strictly increase and probabilities are monotone by construction
+                    // analyze: allow(L3): durations strictly increase and probabilities are monotone by construction
                     .expect("constructed monotone");
             OdmTask::new(task, benefit)
         })
@@ -174,7 +174,7 @@ pub fn uunifast_offloaded_system(
                 .compensation_wcet(Duration::from_ms(c2))
                 .period(Duration::from_ms(period))
                 .build()
-                // lint: allow(L3): parameters are backed out from a feasible utilization point
+                // analyze: allow(L3): parameters are backed out from a feasible utilization point
                 .expect("backed-out parameters are valid");
             (task, Duration::from_ms(r))
         })
