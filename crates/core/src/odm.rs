@@ -331,21 +331,36 @@ impl OffloadingDecisionManager {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Unschedulable`] when not even the all-local plan
-    ///   passes Theorem 3 (the MCKP is infeasible);
+    /// * [`CoreError::Unschedulable`] when the solver finds no selection
+    ///   within the capacity (the MCKP is infeasible to it). The message
+    ///   names the solver and gives the density of the lightest selection
+    ///   (each task's least dense level); it says "exceeds 1" only when
+    ///   that density does, since a solver that rounds weights up, such
+    ///   as the DP, can also reject a selection that fits exactly;
     /// * [`CoreError::Solver`] for other solver failures.
     pub fn decide(&self, solver: &dyn Solver) -> Result<OffloadingPlan, CoreError> {
         let instance = self.build_instance()?;
         let selection = match solver.solve(&instance) {
             Ok(s) => s,
             Err(rto_mckp::SolveError::Infeasible) => {
-                return Err(CoreError::Unschedulable(format!(
-                    "total local utilization {:.4} exceeds 1; no plan exists",
-                    self.tasks
-                        .iter()
-                        .map(|t| t.task.local_density())
-                        .sum::<f64>()
-                )))
+                let lightest: f64 = instance
+                    .classes()
+                    .iter()
+                    .map(|class| class.iter().map(|i| i.weight).fold(f64::INFINITY, f64::min))
+                    .sum();
+                let name = solver.name();
+                return Err(CoreError::Unschedulable(if lightest > 1.0 {
+                    format!(
+                        "solver {name}: the lightest selection has density {lightest:.4}, \
+                         which exceeds 1; no plan exists"
+                    )
+                } else {
+                    format!(
+                        "solver {name} found no plan, although the lightest selection has \
+                         density {lightest:.4}, which does not exceed 1: the solver rejects it \
+                         on the safe side (the exact DP rounds each density up to its grid)"
+                    )
+                }));
             }
             Err(e) => return Err(e.into()),
         };

@@ -16,13 +16,38 @@
 //! # Cost
 //!
 //! Each class is dominance-pruned and each surviving item is put on the
-//! grid once (one `scale` per item). The DP then makes one pass per item
-//! over a row of `resolution + 1` budgets, so the time is
-//! `O(total_items × resolution)`. Memory is a flat choice table of
-//! 4 B × classes × (resolution + 1) — one `u32` item index per class and
-//! budget, for the reconstruction — plus two `f64` rows of
-//! `resolution + 1` budgets, reused across classes. At 1000 classes and the
-//! default resolution the table is 40 MB.
+//! grid once (one `scale` per item). Row `k` of the DP, the best profit of
+//! classes `0..=k` at each budget, is computed only on a window `W_k` of
+//! budgets (below), with one pass per item, so the time is
+//! `O(Σ_k |W_k| × items_k)`, never more than
+//! `O(total_items × resolution)`. Memory is two `f64` rows of
+//! `resolution + 1` budgets, reused across classes, plus a choice table of
+//! `Σ_k |W_k|` × 4 B: one `u32` item index per windowed budget, for the
+//! reconstruction. On Figure-3 systems the windows hold 22 % of the
+//! item × budget cells of full rows. A 1000-class fleet whose heaviest
+//! items sum to less than the capacity needs one budget per row.
+//!
+//! # Windows
+//!
+//! Let `L_k` and `H_k` be the sums of the lightest and heaviest scaled
+//! weights of classes `0..=k`, `S_{k+1}` the sum of the heaviest scaled
+//! weights of classes `k+1..`, and `top = min(resolution, H_n)` the full
+//! budget clamped to the heaviest selection. Row `k` is computed on
+//! `max(L_k, top − S_{k+1}) ..= min(resolution, H_k)`. Outside it a cell is
+//! unreachable, never read, or equal to the window's top cell:
+//!
+//! * below `L_k` no selection of classes `0..=k` fits, so the cell is −∞;
+//! * above `H_k` every candidate base lies at or above `H_{k−1}`, where
+//!   row `k − 1` is flat, so the value and the first strictly better item
+//!   equal those at `H_k`. A read of row `k − 1` above its window takes
+//!   its top cell;
+//! * below `top − S_{k+1}` the later classes cannot consume enough weight
+//!   to bring the full budget down there, so neither the reconstruction
+//!   nor a computed cell of row `k + 1` reads it.
+//!
+//! The reconstruction clamps the remaining budget to each row's window
+//! top. By induction that budget is the full-row DP's, clamped the same
+//! way, so every selection, error and tie is the full-row DP's.
 //!
 //! # Ties
 //!
@@ -110,6 +135,61 @@ fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
     Some(v)
 }
 
+/// The budgets `start..=end` one DP row is computed on; its choices are
+/// `table[offset..]`, one per budget.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    offset: usize,
+    start: usize,
+    end: usize,
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        self.end - self.start + 1
+    }
+}
+
+/// Each class's row window `max(L_k, top − S_{k+1}) ..= min(res, H_k)`
+/// (see the module docs), laid out one after another in the table, or
+/// `Infeasible` when some class has no item that fits or the lightest
+/// selection outweighs the grid: the full-row DP's condition for a
+/// last cell of −∞.
+fn windows(items: &[Vec<(usize, usize, f64)>], res: usize) -> Result<Vec<Window>, SolveError> {
+    let (mut light, mut heavy) = (0usize, 0usize);
+    let windows: Result<Vec<Window>, SolveError> = items
+        .iter()
+        .map(|class| {
+            let (Some(&(_, lo, _)), Some(&(_, hi, _))) = (class.first(), class.last()) else {
+                return Err(SolveError::Infeasible);
+            };
+            light = light.saturating_add(lo);
+            heavy = heavy.saturating_add(hi);
+            Ok(Window {
+                offset: 0,
+                start: light,
+                end: heavy.min(res),
+            })
+        })
+        // analyze: allow(A7): one window per class, built once per solve
+        .collect();
+    let mut windows = windows?;
+    if light > res {
+        return Err(SolveError::Infeasible);
+    }
+    let mut floor = windows.last().map_or(0, |w| w.end);
+    for (w, class) in windows.iter_mut().zip(items).rev() {
+        w.start = w.start.max(floor);
+        floor = floor.saturating_sub(class.last().map_or(0, |&(_, hi, _)| hi));
+    }
+    let mut offset = 0usize;
+    for w in &mut windows {
+        w.offset = offset;
+        offset = offset.saturating_add(w.len());
+    }
+    Ok(windows)
+}
+
 impl Solver for DpSolver {
     // analyze: hot-path
     fn solve(&self, instance: &MckpInstance) -> Result<Selection, SolveError> {
@@ -124,16 +204,16 @@ impl Solver for DpSolver {
             ))
         };
         let width = res.checked_add(1).ok_or_else(too_large)?;
-        let cells = classes.len().checked_mul(width).ok_or_else(too_large)?;
 
         // dp[c] = max profit over the processed classes with scaled weight
-        // <= c. Before any class, every budget holds profit 0.
+        // <= c, valid on the last row's window and, above it, equal to its
+        // top cell. Before any class, every budget holds profit 0: the
+        // window is budget 0 and the row is flat above it. Rows that could
+        // be allocated hold fewer than 2^60 budgets, so a sum of two
+        // budgets below cannot overflow.
         const NEG: f64 = f64::NEG_INFINITY;
         let mut dp: Vec<f64> = filled(width, 0.0).ok_or_else(too_large)?;
         let mut next: Vec<f64> = filled(width, NEG).ok_or_else(too_large)?;
-        // Row k of the table: index (into items[k]) of the item class k
-        // takes at each remaining budget; u32::MAX = unreachable.
-        let mut table: Vec<u32> = filled(cells, u32::MAX).ok_or_else(too_large)?;
 
         // Each class's dominance-pruned items as (item index, scaled weight,
         // profit). Pruned items are weight-sorted, so the ones that do not
@@ -153,39 +233,74 @@ impl Solver for DpSolver {
             // analyze: allow(A7): one prune-and-scale pass per solve, before the DP loops
             .collect();
 
-        for (choice, class) in table.chunks_exact_mut(width).zip(&items) {
+        let windows = windows(&items, res)?;
+        let cells = windows
+            .last()
+            .map_or(0, |w| w.offset.saturating_add(w.len()));
+        // The windows, concatenated: the index (into items[k]) of the item
+        // class k takes at each budget of its window. Every windowed budget
+        // is reachable, so no u32::MAX survives the DP.
+        let mut table: Vec<u32> = filled(cells, u32::MAX).ok_or_else(too_large)?;
+
+        // The row before the first class: budget 0, flat above it.
+        let mut prev = Window {
+            offset: 0,
+            start: 0,
+            end: 0,
+        };
+        for (w, class) in windows.iter().zip(&items) {
             let len = u32::try_from(class.len()).map_err(|_| too_large())?;
+            let (start, end) = (w.start, w.end);
+            let choice = &mut table[w.offset..w.offset + w.len()];
+            // `next` still holds the row two classes back; only this
+            // class's window is read or written.
+            next[start..=end].fill(NEG);
+            // Above its window the previous row is flat at its top cell.
+            let flat = dp[prev.end];
             for (pi, &(_, sw, profit)) in (0..len).zip(class) {
                 // next[c] = max(next[c], dp[c - sw] + profit), keeping the
-                // first strictly better item; an unreachable dp[c - sw] is
-                // -inf and never wins.
-                for ((cell, ch), &base) in next[sw..].iter_mut().zip(&mut choice[sw..]).zip(&dp) {
-                    let value = base + profit;
-                    if value > *cell {
-                        *cell = value;
-                        *ch = pi;
+                // first strictly better item. Bases below the previous
+                // window are unreachable (-inf) and never win; bases above
+                // it read the flat value.
+                let lo = start.max(prev.start + sw);
+                let hi = end.min(prev.end + sw);
+                if lo <= hi {
+                    for ((cell, ch), &base) in next[lo..=hi]
+                        .iter_mut()
+                        .zip(&mut choice[lo - start..=hi - start])
+                        .zip(&dp[lo - sw..=hi - sw])
+                    {
+                        let value = base + profit;
+                        if value > *cell {
+                            *cell = value;
+                            *ch = pi;
+                        }
+                    }
+                }
+                let from = start.max(prev.end + sw + 1);
+                if from <= end {
+                    let value = flat + profit;
+                    for (cell, ch) in next[from..=end].iter_mut().zip(&mut choice[from - start..]) {
+                        if value > *cell {
+                            *cell = value;
+                            *ch = pi;
+                        }
                     }
                 }
             }
             std::mem::swap(&mut dp, &mut next);
-            next.fill(NEG);
+            prev = *w;
         }
 
-        if dp[res] == NEG {
-            return Err(SolveError::Infeasible);
-        }
-
-        // Reconstruct backwards from the full budget.
+        // Reconstruct backwards from the full budget. Each row is flat
+        // above its window, so the budget is clamped to the window's top.
         let mut budget = res;
         // analyze: allow(A7): reconstruction buffer built once per solve
         let mut picks = vec![0usize; classes.len()];
-        for ((pick, choice), class) in picks
-            .iter_mut()
-            .zip(table.chunks_exact(width))
-            .zip(&items)
-            .rev()
-        {
-            let pi = usize::try_from(choice[budget]).map_err(|_| too_large())?;
+        for ((pick, w), class) in picks.iter_mut().zip(&windows).zip(&items).rev() {
+            budget = budget.min(w.end);
+            let pi =
+                usize::try_from(table[w.offset + budget - w.start]).map_err(|_| too_large())?;
             let (item_idx, sw, _) = class[pi];
             *pick = item_idx;
             budget -= sw;

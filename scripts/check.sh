@@ -70,6 +70,23 @@ EOF
 echo "==> rto-exp determinism: byte-identical rows for jobs 1/2/8 + warm cache"
 cargo test -p rto-bench --offline -q --release --test exp_determinism
 
+# The loom models and Miri check correctness, not timing, so they run
+# before the host-timed bench gates below: a bench gate that fails on a
+# noisy host must not hide a concurrency verdict.
+echo "==> loom model tests (obs metrics + exp pool, RUSTFLAGS=--cfg loom)"
+RUSTFLAGS="--cfg loom" cargo test -p rto-obs --offline -q --test loom_metrics
+RUSTFLAGS="--cfg loom" cargo test -p rto-exp --offline -q --test loom_pool
+
+# Miri needs the nightly component; skip locally when unavailable (the
+# CI `miri` job always runs it).
+if rustup component list --toolchain nightly 2>/dev/null | grep -q "^miri.*(installed)"; then
+  echo "==> cargo +nightly miri test (core + mckp)"
+  cargo +nightly miri test -p rto-core --lib
+  cargo +nightly miri test -p rto-mckp --lib
+else
+  echo "==> skipping miri (nightly miri component not installed; CI runs it)"
+fi
+
 echo "==> sweep_bench: serial vs --jobs 4, identical-rows cross-check"
 cargo run --release -p rto-bench --offline -q --bin sweep_bench -- --jobs 4 --out BENCH_sweep.json
 # The >=2x speedup gate only means something with real cores under it;
@@ -118,20 +135,6 @@ print(f"    100k hold: {b['calendar_ns_per_event_100000']:.1f} ns/event "
       f"speedup {b['speedup_100000']:.1f}x vs reference heap")
 assert ratio <= 2.0, f"calendar hold regressed {ratio:.2f}x > 2x vs committed baseline"
 EOF
-
-echo "==> loom model tests (obs metrics + exp pool, RUSTFLAGS=--cfg loom)"
-RUSTFLAGS="--cfg loom" cargo test -p rto-obs --offline -q --test loom_metrics
-RUSTFLAGS="--cfg loom" cargo test -p rto-exp --offline -q --test loom_pool
-
-# Miri needs the nightly component; skip locally when unavailable (the
-# CI `miri` job always runs it).
-if rustup component list --toolchain nightly 2>/dev/null | grep -q "^miri.*(installed)"; then
-  echo "==> cargo +nightly miri test (core + mckp)"
-  cargo +nightly miri test -p rto-core --lib
-  cargo +nightly miri test -p rto-mckp --lib
-else
-  echo "==> skipping miri (nightly miri component not installed; CI runs it)"
-fi
 
 echo "==> bench trend (fresh BENCH_*.json vs committed baselines; fails on missing/malformed records)"
 python3 scripts/bench_trend

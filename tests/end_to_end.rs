@@ -302,3 +302,53 @@ fn facade_schedule_audits_clean() {
     let edf = audit_edf(&report);
     assert!(edf.is_empty(), "{edf:?}");
 }
+
+/// An MCKP the solver cannot fill is reported with the solver's name and
+/// the lightest selection's density, and as exceeding 1 only when that
+/// density does.
+#[test]
+fn unschedulable_message_reports_the_lightest_selection() {
+    let all_local = |n: usize, c: u64, t: u64| {
+        let tasks = (0..n)
+            .map(|i| {
+                let task = Task::builder(i, format!("t{i}"))
+                    .local_wcet(ms(c))
+                    .period(ms(t))
+                    .build()
+                    .expect("valid task");
+                let g = BenefitFunction::from_ms_points(&[(0.0, 1.0)]).expect("valid");
+                OdmTask::new(task, g)
+            })
+            .collect();
+        OffloadingDecisionManager::new(tasks).expect("valid system")
+    };
+    let dp_error = |odm: &OffloadingDecisionManager| match odm.decide(&DpSolver::default()) {
+        Err(CoreError::Unschedulable(msg)) => msg,
+        other => panic!("expected Unschedulable, got {other:?}"),
+    };
+
+    // Load exactly 1 is schedulable, and HEU-OE plans it all-local. The
+    // DP's grid rounds each 1/3 up to 3334/10⁴ and rejects it: a safe
+    // refusal, not an overload.
+    let exact = all_local(3, 1, 3);
+    let check = density_test(exact.tasks().iter().map(OdmTask::task), std::iter::empty())
+        .expect("valid entries");
+    assert!(check.schedulable, "load {}", check.load);
+    let heu = exact
+        .decide(&HeuOeSolver::new())
+        .expect("HEU-OE fills exactly");
+    assert_eq!(heu.num_offloaded(), 0);
+    let msg = dp_error(&exact);
+    assert!(
+        msg.contains("solver dp") && msg.contains("density 1.0000"),
+        "{msg}"
+    );
+    assert!(!msg.contains("exceeds 1"), "{msg}");
+
+    // Load 1.6 is an overload whatever the solver.
+    let msg = dp_error(&all_local(2, 80, 100));
+    assert!(
+        msg.contains("solver dp") && msg.contains("density 1.6000, which exceeds 1"),
+        "{msg}"
+    );
+}

@@ -8,13 +8,18 @@
 //! * one §6.2 random 30-task system at the nine estimation errors
 //!   −40 %…+40 %, as Figure 3 plans it;
 //! * one 300-task §6.2 system with WCETs scaled down by 10x, so that a
-//!   300-class DP has real choices to make.
+//!   300-class DP has real choices to make;
+//! * one 1000-task fleet of light tasks, where the DP's windows are
+//!   narrowest.
 //!
 //! A change to the DP's answer, tie-breaking included, shows up here as
 //! a changed hash; a change that only makes the solver faster must leave
 //! every value alone.
 
-use rto::core::odm::{OdmTask, OffloadingDecisionManager, OffloadingPlan};
+use rto::core::benefit::BenefitFunction;
+use rto::core::odm::{Decision, OdmTask, OffloadingDecisionManager, OffloadingPlan};
+use rto::core::task::Task;
+use rto::core::time::Duration;
 use rto::mckp::DpSolver;
 use rto::stats::Rng;
 use rto::workloads::case_study::{case_study_system, weight_permutations};
@@ -91,4 +96,49 @@ fn three_hundred_class_system() {
         plan.num_offloaded()
     );
     assert_golden(&[plan], 56_270, 0x18bf_781b_8c35_614f);
+}
+
+/// `n` light fleet tasks, drawn as the `fleet-1k` benchmark workload
+/// draws them but with WCETs 1.4x larger: 14 µs setup, 210 µs local and
+/// compensation WCET, periods 200–356 ms on a 4 ms grid, local value 1
+/// and three offload levels 20–75 ms out with increasing values. The
+/// heaviest items sum to ~1.05 of the capacity and the lightest to
+/// ~0.78, so the plan must trade levels against each other.
+fn fleet_tasks(n: usize, rng: &mut Rng) -> Vec<OdmTask> {
+    (0..n)
+        .map(|i| {
+            let period = Duration::from_ms(200 + 4 * rng.u64_range(0, 39));
+            let task = Task::builder(i, format!("fleet-{i}"))
+                .local_wcet(Duration::from_us(210))
+                .setup_wcet(Duration::from_us(14))
+                .compensation_wcet(Duration::from_us(210))
+                .period(period)
+                .build()
+                .expect("valid task");
+            let r1 = rng.f64_range(20.0, 30.0);
+            let r2 = r1 + rng.f64_range(5.0, 15.0);
+            let r3 = r2 + rng.f64_range(10.0, 30.0);
+            let v1 = 1.0 + rng.f64_range(0.5, 1.5);
+            let v2 = v1 + rng.f64_range(0.2, 1.0);
+            let v3 = v2 + rng.f64_range(0.1, 0.5);
+            let benefit =
+                BenefitFunction::from_ms_points(&[(0.0, 1.0), (r1, v1), (r2, v2), (r3, v3)])
+                    .expect("valid benefit");
+            OdmTask::new(task, benefit)
+        })
+        .collect()
+}
+
+#[test]
+fn thousand_class_fleet() {
+    let plan = dp_plan(fleet_tasks(1000, &mut Rng::seed_from(2014)));
+    let mut levels = [0usize; 4];
+    for d in plan.decisions() {
+        match d.decision {
+            Decision::Local => levels[0] += 1,
+            Decision::Offload { level, .. } => levels[level] += 1,
+        }
+    }
+    assert_eq!(levels, [34, 65, 570, 331], "levels 0/1/2/3");
+    assert_golden(&[plan], 222_260, 0x8cb5_e48b_caa9_ce85);
 }
