@@ -17,24 +17,27 @@
 //!
 //! Each class is dominance-pruned and each surviving item is put on the
 //! grid once (one `scale` per item). Row `k` of the DP, the best profit of
-//! classes `0..=k` at each budget, is computed only on a window `W_k` of
-//! budgets (below), with one pass per item, so the time is
-//! `O(Σ_k |W_k| × items_k)`, never more than
-//! `O(total_items × resolution)`. Memory is two `f64` rows of
-//! `resolution + 1` budgets, reused across classes, plus a choice table of
-//! `Σ_k |W_k|` × 4 B: one `u32` item index per windowed budget, for the
-//! reconstruction. On Figure-3 systems the windows hold 22 % of the
-//! item × budget cells of full rows. A 1000-class fleet whose heaviest
-//! items sum to less than the capacity needs one budget per row.
+//! classes `0..=k` at each budget, is computed only on the budgets `R_k`
+//! of a window `W_k` that an optimal plan can still pass through (below),
+//! with one pass per item, so the time is `O(Σ_k |R_k| × items_k)`, never
+//! more than `O(Σ_k |W_k| × items_k)` or `O(total_items × resolution)`.
+//! Memory is two `f64` rows of `top + 1` budgets (`top` below), reused
+//! across classes, a choice table of `Σ_k |W_k|` × 4 B — one `u32` item
+//! index per windowed budget, for the reconstruction — and, when the rows
+//! are wide enough to pay for it, the LP bound: a few words per hull step
+//! and per class. On Figure-3 systems the windows hold 22 % of the
+//! item × budget cells of full rows, and the bound computes 51 % of the
+//! windows' cells. A 1000-class fleet whose heaviest items sum to less
+//! than the capacity needs one budget per row and never builds the bound.
 //!
 //! # Windows
 //!
 //! Let `L_k` and `H_k` be the sums of the lightest and heaviest scaled
 //! weights of classes `0..=k`, `S_{k+1}` the sum of the heaviest scaled
 //! weights of classes `k+1..`, and `top = min(resolution, H_n)` the full
-//! budget clamped to the heaviest selection. Row `k` is computed on
-//! `max(L_k, top − S_{k+1}) ..= min(resolution, H_k)`. Outside it a cell is
-//! unreachable, never read, or equal to the window's top cell:
+//! budget clamped to the heaviest selection. The window of row `k` is
+//! `W_k = max(L_k, top − S_{k+1}) ..= min(resolution, H_k)`. Outside it a
+//! cell is unreachable, never read, or equal to the window's top cell:
 //!
 //! * below `L_k` no selection of classes `0..=k` fits, so the cell is −∞;
 //! * above `H_k` every candidate base lies at or above `H_{k−1}`, where
@@ -45,9 +48,66 @@
 //!   to bring the full budget down there, so neither the reconstruction
 //!   nor a computed cell of row `k + 1` reads it.
 //!
-//! The reconstruction clamps the remaining budget to each row's window
-//! top. By induction that budget is the full-row DP's, clamped the same
-//! way, so every selection, error and tie is the full-row DP's.
+//! # Bound
+//!
+//! A window keeps every budget some selection passes through; the bound
+//! keeps those an optimal one can. `LB` is the profit of an explicit
+//! feasible selection, summed in class order as the DP sums it: every
+//! class at its lightest hull item, then each hull step, most efficient
+//! first, that still fits the grid. Rounding is monotone, so `LB` never
+//! exceeds the DP's value at `top`. `U_{k+1}(r)` is the LP relaxation of
+//! classes `k+1..` at `r` grid units: their lightest hull items plus every
+//! hull step, most efficient first, the last one fractional; −∞ when `r`
+//! is below their lightest scaled weights. The hulls
+//! ([`crate::lp::upper_hull`]) are taken on the unrounded weights in grid
+//! units, which never exceed the scaled ones, so `U` bounds every
+//! completion on the grid.
+//!
+//! After row `k` is computed on `R_k`, its band `lo_k ..= hi_k` runs from
+//! the first to the last budget `c` with
+//! `dp_k[c] + U_{k+1}(top − c) ≥ LB − 1e-9 · (1 + U_0(top))`, or is all of
+//! `R_k` when no budget passes. Row `k + 1` is computed on
+//! `R_{k+1} = max(W_{k+1}.start, lo_k + lightest) ..= min(W_{k+1}.end, hi_k + heaviest)`
+//! of its class's scaled weights: bases below `lo_k` are skipped as −∞,
+//! and bases above `hi_k` read `dp_k[hi_k]`, which is the windows' flat
+//! part when `hi_k` is the window's top. The reconstruction clamps its
+//! budget to each row's `hi_k`. The first row's "previous band" is budget
+//! 0 of the all-zero row.
+//!
+//! **Why it is exact.** Take the full-row DP's reconstruction path,
+//! clamped to the window tops, through budgets `b_k`. Its items after row
+//! `k` fit `top − b_k`, so `dp_k[b_k] + U_{k+1}(top − b_k) ≥ OPT ≥ LB`, and
+//! every path cell is kept. Every computed value is at most the full
+//! row's, because each candidate base is exact, −∞, or a flat read of a
+//! non-decreasing row. By induction each path cell's winning base is the
+//! previous path cell, read exactly: earlier items stay strictly worse,
+//! and later items cannot replace the winner under the strict `>`. So
+//! each path cell gets the full DP's value and item, and the clamp to
+//! `hi_k` is a no-op on the path. The margin `1e-9 · (1 + U_0(top))` is
+//! orders of magnitude above the float error of the sums involved, and
+//! every capacity `U` is read at carries `1e-9 · (1 + top)` grid units of
+//! slack for the error of its grid-weight sums.
+//!
+//! **Why nothing can go out of range,** whatever the bound reads: a kept
+//! budget has a finite `U`, so it lies at most `top` minus the later
+//! classes' lightest weights, and `R_{k+1}` is never empty; every budget
+//! of `R_k` has a finite value through its lightest item; and every
+//! choice reads a base at or above the previous band's bottom, so the
+//! reconstruction stays on computed cells.
+//!
+//! **Cost of the bound.** The band is found by scanning in from both ends
+//! of `R_k` in blocks: a block `a..=b` goes when `dp_k[b] + U(top − a)`
+//! falls short, since each computed row is non-decreasing and `U` grows
+//! with the budget. Blocks double while they go and halve when they do
+//! not. `U` is read by one cursor per scan direction that walks the
+//! efficiency-sorted steps from where it last stopped, and class `k`'s
+//! steps leave the cursors' sums when row `k` is done. Building the bound
+//! sorts the hull steps, so it is built after the first row at which the
+//! windows of the rows still to compute hold at least 16 times more
+//! item × budget cells than the instance has items, and never when they
+//! do not. On Figure-3 systems a row's window averages
+//! 2,337 budgets, the row is computed on 1,204 of them, and its kept
+//! band averages 991.
 //!
 //! # Ties
 //!
@@ -62,7 +122,7 @@
 
 use crate::error::SolveError;
 use crate::instance::MckpInstance;
-use crate::lp::dominance_filter;
+use crate::lp::{dominance_filter, upper_hull};
 use crate::solution::Selection;
 use crate::Solver;
 
@@ -94,6 +154,12 @@ impl DpSolver {
         self.resolution
     }
 
+    /// A weight in grid units before rounding; [`DpSolver::scale`] rounds
+    /// this same value up, so it never exceeds the scaled weight.
+    fn grid(&self, weight: f64, capacity: f64) -> f64 {
+        weight / capacity * self.resolution as f64
+    }
+
     /// Scales a weight onto the grid, rounding up (safe side).
     ///
     /// Returns `None` for a weight that does not fit the capacity at all
@@ -112,10 +178,34 @@ impl DpSolver {
         // (0, 1], but the interval checker (A4) reasons per-variable. The
         // bound is 2^53, the end of the exactly representable integers; a
         // grid that wide could never be allocated, so it never binds.
-        let scaled = (weight / capacity * self.resolution as f64)
+        let scaled = self
+            .grid(weight, capacity)
             .ceil()
             .clamp(0.0, 9_007_199_254_740_992.0) as usize;
         (scaled <= self.resolution).then_some(scaled)
+    }
+
+    /// Each class's dominance-pruned items as (item index, scaled weight,
+    /// profit). Pruned items are weight-sorted, so the ones that do not
+    /// fit the grid are a tail, and dropping it keeps the order.
+    fn scaled_items(&self, instance: &MckpInstance) -> Vec<Items> {
+        let capacity = instance.capacity();
+        instance
+            .classes()
+            .iter()
+            .map(|class| {
+                let pruned = dominance_filter(class);
+                // Sized to the pruned class: collecting a `map_while`
+                // would grow the vector to the next power of two.
+                let mut fit = Vec::with_capacity(pruned.len());
+                fit.extend(pruned.into_iter().map_while(|i| {
+                    let item = class[i];
+                    Some((i, self.scale(item.weight, capacity)?, item.profit))
+                }));
+                fit
+            })
+            // analyze: allow(A7): one prune-and-scale pass per solve, before the DP loops
+            .collect()
     }
 }
 
@@ -127,6 +217,10 @@ impl Default for DpSolver {
     }
 }
 
+/// One class's pruned items that fit the grid: (item index, scaled
+/// weight, profit), weight-ascending.
+type Items = Vec<(usize, usize, f64)>;
+
 /// `len` copies of `value`, or `None` when the vector cannot be allocated.
 fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
     let mut v = Vec::new();
@@ -135,8 +229,9 @@ fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
     Some(v)
 }
 
-/// The budgets `start..=end` one DP row is computed on; its choices are
-/// `table[offset..]`, one per budget.
+/// The budgets `start..=end` of one DP row's window; its choices are
+/// `table[offset..]`, one per budget. Once the row is computed, `end` is
+/// the top of the band it keeps, where the reconstruction clamps.
 #[derive(Debug, Clone, Copy)]
 struct Window {
     offset: usize,
@@ -155,7 +250,7 @@ impl Window {
 /// `Infeasible` when some class has no item that fits or the lightest
 /// selection outweighs the grid: the full-row DP's condition for a
 /// last cell of −∞.
-fn windows(items: &[Vec<(usize, usize, f64)>], res: usize) -> Result<Vec<Window>, SolveError> {
+fn windows(items: &[Items], res: usize) -> Result<Vec<Window>, SolveError> {
     let (mut light, mut heavy) = (0usize, 0usize);
     let windows: Result<Vec<Window>, SolveError> = items
         .iter()
@@ -190,11 +285,357 @@ fn windows(items: &[Vec<(usize, usize, f64)>], res: usize) -> Result<Vec<Window>
     Ok(windows)
 }
 
+/// The share of `1 + U_0(top)` by which a budget's bound may fall short of
+/// the lower bound and still be kept: orders of magnitude above the float
+/// error of summing a few thousand non-negative terms. The same share of
+/// `1 + top` is added to every capacity the LP bound is read at, for the
+/// float error of its grid-weight sums.
+const MARGIN: f64 = 1e-9;
+
+/// The bound is built once the rows still to compute hold this many times
+/// more item × budget cells than the instance has items, which bounds its
+/// LP steps.
+const PAYOFF: usize = 16;
+
+/// One LP upgrade: class `class` moves to its hull item `to` (a position
+/// in its [`Items`]) from the hull item before it, `dx` grid units
+/// heavier and `dp` more profitable.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    class: u32,
+    to: u32,
+    dx: f64,
+    dp: f64,
+}
+
+impl Step {
+    fn efficiency(&self) -> f64 {
+        self.dp / self.dx
+    }
+}
+
+/// Classes `k..` summed: their lightest scaled weights, and the same
+/// items' grid weights and profits.
+#[derive(Debug, Clone, Copy, Default)]
+struct Suffix {
+    light: usize,
+    weight: f64,
+    profit: f64,
+}
+
+/// A moving read of the LP bound: the live steps before `at`, which all
+/// fit the capacity last read, with their summed grid weight and profit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    at: usize,
+    weight: f64,
+    profit: f64,
+    /// Additions and subtractions since the sums were last taken afresh.
+    ops: usize,
+}
+
+/// The LP relaxation of the classes from `live` on, as a fractional
+/// knapsack over every hull step, most efficient first.
+#[derive(Debug)]
+struct Lp {
+    steps: Vec<Step>,
+    /// Positions in `steps`, sorted by class.
+    ranks: Vec<usize>,
+    /// `classes + 1` entries; the last sums no class.
+    suffix: Vec<Suffix>,
+    /// Grid units added to every capacity read (see [`MARGIN`]).
+    slack: f64,
+}
+
+impl Lp {
+    /// The hull steps of `items`, or `None` when the capacity is zero, a
+    /// vector cannot be allocated, or a class or item index exceeds `u32`.
+    fn new(solver: &DpSolver, instance: &MckpInstance, items: &[Items], top: usize) -> Option<Lp> {
+        let capacity = instance.capacity();
+        if capacity <= 0.0 {
+            return None;
+        }
+        let classes = instance.classes();
+        let widest = items.iter().map(Vec::len).max().unwrap_or(0);
+        let mut hull: Vec<usize> = Vec::new();
+        hull.try_reserve_exact(widest).ok()?;
+        // Each hull is found twice, once to size `steps` exactly.
+        let mut count = 0usize;
+        for (class, its) in classes.iter().zip(items) {
+            upper_hull(its.len(), |p| class[its[p].0], &mut hull);
+            count = count.saturating_add(hull.len().saturating_sub(1));
+        }
+        let mut steps: Vec<Step> = Vec::new();
+        steps.try_reserve_exact(count).ok()?;
+        let point = |k: usize, pos: usize| {
+            let (i, sw, profit) = items[k][pos];
+            (sw, solver.grid(classes[k][i].weight, capacity), profit)
+        };
+        for (k, (class, its)) in classes.iter().zip(items).enumerate() {
+            let id = u32::try_from(k).ok()?;
+            upper_hull(its.len(), |p| class[its[p].0], &mut hull);
+            for pair in hull.windows(2) {
+                let ((_, xa, pa), (_, xb, pb)) = (point(k, pair[0]), point(k, pair[1]));
+                steps.push(Step {
+                    class: id,
+                    to: u32::try_from(pair[1]).ok()?,
+                    dx: xb - xa,
+                    dp: pb - pa,
+                });
+            }
+        }
+        steps.sort_unstable_by(|a, b| {
+            b.efficiency()
+                .total_cmp(&a.efficiency())
+                .then(a.class.cmp(&b.class))
+                .then(a.to.cmp(&b.to))
+        });
+        drop(hull);
+        let mut ranks: Vec<usize> = Vec::new();
+        ranks.try_reserve_exact(steps.len()).ok()?;
+        ranks.extend(0..steps.len());
+        ranks.sort_unstable_by_key(|&r| (steps[r].class, r));
+        let mut suffix: Vec<Suffix> = filled(items.len() + 1, Suffix::default())?;
+        // Suffix sums, taken afresh from the last class back.
+        for k in (0..items.len()).rev() {
+            let (sw, x, profit) = point(k, 0);
+            let after = suffix[k + 1];
+            suffix[k] = Suffix {
+                light: after.light.saturating_add(sw),
+                weight: after.weight + x,
+                profit: after.profit + profit,
+            };
+        }
+        Some(Lp {
+            steps,
+            ranks,
+            suffix,
+            slack: MARGIN * (1.0 + top as f64),
+        })
+    }
+
+    /// `U_live(r)`: the LP bound of classes `live..` at `r` grid units,
+    /// −∞ below their lightest scaled weight. The cursor moves to `r`.
+    fn at(&self, live: usize, cursor: &mut Cursor, r: usize) -> f64 {
+        let Some(base) = self.suffix.get(live) else {
+            return 0.0;
+        };
+        if r < base.light {
+            return f64::NEG_INFINITY;
+        }
+        // `base.weight` sums the same items' unrounded grid weights, which
+        // never exceed their scaled ones, so `q` is at least the slack.
+        let q = (r as f64 - base.weight) + self.slack;
+        let steps = &self.steps[..];
+        // Every class index fits `u32` (checked when the steps were made).
+        let live = u32::try_from(live).unwrap_or(u32::MAX);
+        let is_live = |s: &Step| s.class >= live;
+        if cursor.ops > steps.len() {
+            // Take the sums afresh, so that float error cannot pile up.
+            let taken = steps[..cursor.at].iter().filter(|s| is_live(s));
+            cursor.weight = taken.clone().map(|s| s.dx).sum();
+            cursor.profit = taken.map(|s| s.dp).sum();
+            cursor.ops = 0;
+        }
+        let (mut at, mut weight, mut profit, mut ops) =
+            (cursor.at, cursor.weight, cursor.profit, cursor.ops);
+        // Give back steps while the taken ones outweigh `q` ...
+        while weight > q && at > 0 {
+            at -= 1;
+            let s = steps[at];
+            if is_live(&s) {
+                weight -= s.dx;
+                profit -= s.dp;
+                ops += 1;
+            }
+        }
+        if at == 0 {
+            (weight, profit) = (0.0, 0.0);
+        }
+        // ... then take every further step that fits.
+        let mut next = None;
+        while at < steps.len() {
+            let s = steps[at];
+            if is_live(&s) {
+                if weight + s.dx > q {
+                    next = Some(s);
+                    break;
+                }
+                weight += s.dx;
+                profit += s.dp;
+                ops += 1;
+            }
+            at += 1;
+        }
+        *cursor = Cursor {
+            at,
+            weight,
+            profit,
+            ops,
+        };
+        // The first step that does not fit counts fractionally; `min`
+        // also maps a 0/0 to the whole step, the safe side.
+        let part = next.map_or(0.0, |s| s.dp * ((q - weight) / s.dx).min(1.0));
+        base.profit + profit + part
+    }
+
+    /// Takes class `k`'s steps out of the cursor's sums.
+    fn drop_class(&self, k: usize, cursor: &mut Cursor) {
+        let Ok(k) = u32::try_from(k) else {
+            return;
+        };
+        let class_of = |r: &usize| self.steps[*r].class;
+        let from = self.ranks.partition_point(|r| class_of(r) < k);
+        let to = self.ranks.partition_point(|r| class_of(r) <= k);
+        for &r in &self.ranks[from..to] {
+            if r < cursor.at {
+                let s = self.steps[r];
+                cursor.weight -= s.dx;
+                cursor.profit -= s.dp;
+                cursor.ops += 1;
+            }
+        }
+    }
+}
+
+/// The LP bound that prunes each DP row (see the module docs): the
+/// suffix LP, read with one cursor per scan direction, and the floor a
+/// kept budget's bound must reach.
+#[derive(Debug)]
+struct Bound {
+    lp: Lp,
+    /// The first class still in the suffix.
+    live: usize,
+    /// `LB`: the profit of a feasible selection, summed in class order.
+    lower: f64,
+    /// `U_0(top)`.
+    upper: f64,
+    lo: Cursor,
+    hi: Cursor,
+}
+
+impl Bound {
+    /// The bound of `items` at the full budget `top`, or `None` when it
+    /// cannot be built or its floor is not finite. `at` is scratch, one
+    /// entry per class.
+    fn new(
+        solver: &DpSolver,
+        instance: &MckpInstance,
+        items: &[Items],
+        top: usize,
+        at: &mut [usize],
+    ) -> Option<Bound> {
+        let lp = Lp::new(solver, instance, items, top)?;
+        // `LB`: every class at its lightest hull item, then each step in
+        // efficiency order that still fits the grid. A step whose class
+        // already sits at a heavier item is skipped.
+        at.fill(0);
+        let mut used = lp.suffix.first().map_or(0, |s| s.light);
+        for s in &lp.steps {
+            let (Ok(k), Ok(to)) = (usize::try_from(s.class), usize::try_from(s.to)) else {
+                continue;
+            };
+            let (Some(its), Some(from)) = (items.get(k), at.get(k).copied()) else {
+                continue;
+            };
+            if to > from {
+                let more = its[to].1.saturating_sub(its[from].1);
+                if used.saturating_add(more) <= top {
+                    used += more;
+                    at[k] = to;
+                }
+            }
+        }
+        let lower = at
+            .iter()
+            .zip(items)
+            .fold(0.0, |sum, (&pos, its)| sum + its[pos].2);
+        let mut cursor = Cursor::default();
+        let upper = lp.at(0, &mut cursor, top);
+        let bound = Bound {
+            lp,
+            live: 0,
+            lower,
+            upper,
+            lo: Cursor::default(),
+            hi: Cursor::default(),
+        };
+        bound.floor().is_finite().then_some(bound)
+    }
+
+    /// The least `dp_k[c] + U_{k+1}(top − c)` a kept budget may have.
+    fn floor(&self) -> f64 {
+        self.lower - MARGIN * (1.0 + self.upper)
+    }
+
+    /// The band `lo..=hi` of row `k`, computed on `start..=end`, that row
+    /// `k + 1` reads: from the first to the last budget whose bound
+    /// reaches the floor, or the whole row when none does.
+    fn band(
+        &mut self,
+        k: usize,
+        row: &[f64],
+        start: usize,
+        end: usize,
+        top: usize,
+    ) -> (usize, usize) {
+        for gone in self.live..=k {
+            self.lp.drop_class(gone, &mut self.lo);
+            self.lp.drop_class(gone, &mut self.hi);
+        }
+        self.live = self.live.max(k + 1);
+        let floor = self.floor();
+        let Bound {
+            lp,
+            live,
+            lo: down,
+            hi: up,
+            ..
+        } = self;
+        // A block `a..=b` of the row can go when `dp[b] + U(top − a)` falls
+        // short of the floor: the row is non-decreasing on the budgets it
+        // was computed on and `U` shrinks as the budget grows, so no budget
+        // in the block reaches the floor. Blocks double while they go and
+        // halve when they do not, so a scan reads `U` a few times per power
+        // of two it skips and stops where a budget-by-budget scan would.
+        let reaches = |cursor: &mut Cursor, a: usize, b: usize| {
+            row[b] + lp.at(*live, cursor, top.saturating_sub(a)) >= floor
+        };
+        let (mut lo, mut span) = (start, 1usize);
+        while lo <= end {
+            let b = end.min(lo.saturating_add(span - 1));
+            if !reaches(down, lo, b) {
+                lo = b + 1;
+                span = span.saturating_mul(2);
+            } else if span > 1 {
+                span /= 2;
+            } else {
+                break;
+            }
+        }
+        if lo > end {
+            return (start, end);
+        }
+        let (mut hi, mut span) = (end, 1usize);
+        while hi > lo {
+            let a = hi.saturating_sub(span - 1).max(lo + 1);
+            if !reaches(up, a, hi) {
+                hi = a - 1;
+                span = span.saturating_mul(2);
+            } else if span > 1 {
+                span /= 2;
+            } else {
+                break;
+            }
+        }
+        (lo, hi)
+    }
+}
+
 impl Solver for DpSolver {
     // analyze: hot-path
     fn solve(&self, instance: &MckpInstance) -> Result<Selection, SolveError> {
         let res = self.resolution;
-        let capacity = instance.capacity();
         let classes = instance.classes();
         let too_large = || {
             // analyze: allow(A7): error path only, formatted once when the table cannot be sized or indexed
@@ -203,72 +644,78 @@ impl Solver for DpSolver {
                 classes.len()
             ))
         };
-        let width = res.checked_add(1).ok_or_else(too_large)?;
+        res.checked_add(1).ok_or_else(too_large)?;
+
+        let items = self.scaled_items(instance);
+        let mut windows = windows(&items, res)?;
+        // The full budget, clamped to the heaviest selection: no row is
+        // computed or read above it.
+        let top = windows.last().map_or(0, |w| w.end);
 
         // dp[c] = max profit over the processed classes with scaled weight
-        // <= c, valid on the last row's window and, above it, equal to its
-        // top cell. Before any class, every budget holds profit 0: the
-        // window is budget 0 and the row is flat above it. Rows that could
+        // <= c, valid on the last row's band and, above it, taken equal to
+        // its top cell. Before any class, every budget holds profit 0: the
+        // band is budget 0 and the row is flat above it. Rows that could
         // be allocated hold fewer than 2^60 budgets, so a sum of two
         // budgets below cannot overflow.
         const NEG: f64 = f64::NEG_INFINITY;
+        let width = top.checked_add(1).ok_or_else(too_large)?;
         let mut dp: Vec<f64> = filled(width, 0.0).ok_or_else(too_large)?;
         let mut next: Vec<f64> = filled(width, NEG).ok_or_else(too_large)?;
 
-        // Each class's dominance-pruned items as (item index, scaled weight,
-        // profit). Pruned items are weight-sorted, so the ones that do not
-        // fit the grid are a tail, and dropping it keeps the order.
-        let items: Vec<Vec<(usize, usize, f64)>> = classes
-            .iter()
-            .map(|class| {
-                dominance_filter(class)
-                    .into_iter()
-                    .map_while(|i| {
-                        let item = class[i];
-                        Some((i, self.scale(item.weight, capacity)?, item.profit))
-                    })
-                    // analyze: allow(A7): one item list per class, built once per solve
-                    .collect()
-            })
-            // analyze: allow(A7): one prune-and-scale pass per solve, before the DP loops
-            .collect();
-
-        let windows = windows(&items, res)?;
         let cells = windows
             .last()
             .map_or(0, |w| w.offset.saturating_add(w.len()));
         // The windows, concatenated: the index (into items[k]) of the item
-        // class k takes at each budget of its window. Every windowed budget
-        // is reachable, so no u32::MAX survives the DP.
+        // class k takes at each budget of its window. Every computed budget
+        // is reachable, so no u32::MAX survives where a row was computed.
         let mut table: Vec<u32> = filled(cells, u32::MAX).ok_or_else(too_large)?;
 
-        // The row before the first class: budget 0, flat above it.
-        let mut prev = Window {
-            offset: 0,
-            start: 0,
-            end: 0,
-        };
-        for (w, class) in windows.iter().zip(&items) {
+        // Item × budget cells of the windows not yet computed, which
+        // decides when the bound pays for itself.
+        let mut ahead = windows.iter().zip(&items).fold(0usize, |sum, (w, its)| {
+            sum.saturating_add(w.len().saturating_mul(its.len()))
+        });
+        let pays = items
+            .iter()
+            .map(Vec::len)
+            .sum::<usize>()
+            .saturating_mul(PAYOFF);
+        let mut bound: Option<Bound> = None;
+        let mut tried = false;
+        // The reconstruction's picks, one per class; until then the
+        // bound's scratch.
+        // analyze: allow(A7): reconstruction buffer built once per solve
+        let mut picks = vec![0usize; classes.len()];
+
+        // The previous row's band: budget 0, flat above it.
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let last = windows.len().saturating_sub(1);
+        for (k, (w, class)) in windows.iter_mut().zip(&items).enumerate() {
             let len = u32::try_from(class.len()).map_err(|_| too_large())?;
-            let (start, end) = (w.start, w.end);
+            let light = class.first().map_or(0, |t| t.1);
+            let heavy = class.last().map_or(0, |t| t.1);
+            // The budgets the band can reach: never empty (module docs).
+            let (start, end) = (w.start.max(lo + light), w.end.min(hi + heavy));
             let choice = &mut table[w.offset..w.offset + w.len()];
             // `next` still holds the row two classes back; only this
-            // class's window is read or written.
-            next[start..=end].fill(NEG);
-            // Above its window the previous row is flat at its top cell.
-            let flat = dp[prev.end];
+            // row's budgets are read or written.
+            if start <= end {
+                next[start..=end].fill(NEG);
+            }
+            // Above its band the previous row is taken flat at its top.
+            let flat = dp[hi];
             for (pi, &(_, sw, profit)) in (0..len).zip(class) {
                 // next[c] = max(next[c], dp[c - sw] + profit), keeping the
-                // first strictly better item. Bases below the previous
-                // window are unreachable (-inf) and never win; bases above
-                // it read the flat value.
-                let lo = start.max(prev.start + sw);
-                let hi = end.min(prev.end + sw);
-                if lo <= hi {
-                    for ((cell, ch), &base) in next[lo..=hi]
+                // first strictly better item. Bases below the band are
+                // skipped (-inf, never winning); bases above it read the
+                // flat value.
+                let (from, to) = (start.max(lo + sw), end.min(hi + sw));
+                if from <= to {
+                    for ((cell, ch), &base) in next[from..=to]
                         .iter_mut()
-                        .zip(&mut choice[lo - start..=hi - start])
-                        .zip(&dp[lo - sw..=hi - sw])
+                        .zip(&mut choice[from - w.start..=to - w.start])
+                        .zip(&dp[from - sw..=to - sw])
                     {
                         let value = base + profit;
                         if value > *cell {
@@ -277,10 +724,13 @@ impl Solver for DpSolver {
                         }
                     }
                 }
-                let from = start.max(prev.end + sw + 1);
+                let from = start.max(hi + sw + 1);
                 if from <= end {
                     let value = flat + profit;
-                    for (cell, ch) in next[from..=end].iter_mut().zip(&mut choice[from - start..]) {
+                    for (cell, ch) in next[from..=end]
+                        .iter_mut()
+                        .zip(&mut choice[from - w.start..])
+                    {
                         if value > *cell {
                             *cell = value;
                             *ch = pi;
@@ -289,21 +739,30 @@ impl Solver for DpSolver {
                 }
             }
             std::mem::swap(&mut dp, &mut next);
-            prev = *w;
+            ahead = ahead.saturating_sub(w.len().saturating_mul(class.len()));
+            if k < last && !tried && ahead >= pays {
+                tried = true;
+                bound = Bound::new(self, instance, &items, top, &mut picks);
+            }
+            (lo, hi) = match bound.as_mut() {
+                Some(b) if k < last => b.band(k, &dp, start, end, top),
+                _ => (start, end),
+            };
+            w.end = hi;
         }
 
-        // Reconstruct backwards from the full budget. Each row is flat
-        // above its window, so the budget is clamped to the window's top.
+        // Reconstruct backwards from the full budget. Each row is taken
+        // flat above its band, so the budget is clamped to the band's top;
+        // the item there was read from a base at or above the previous
+        // band's bottom, so the budget never leaves the computed rows.
         let mut budget = res;
-        // analyze: allow(A7): reconstruction buffer built once per solve
-        let mut picks = vec![0usize; classes.len()];
         for ((pick, w), class) in picks.iter_mut().zip(&windows).zip(&items).rev() {
             budget = budget.min(w.end);
-            let pi =
-                usize::try_from(table[w.offset + budget - w.start]).map_err(|_| too_large())?;
+            let pi = usize::try_from(table[w.offset + budget.saturating_sub(w.start)])
+                .map_err(|_| too_large())?;
             let (item_idx, sw, _) = class[pi];
             *pick = item_idx;
-            budget -= sw;
+            budget = budget.saturating_sub(sw);
         }
 
         let selection = Selection::new(picks);
@@ -320,6 +779,7 @@ impl Solver for DpSolver {
 mod tests {
     use super::*;
     use crate::instance::Item;
+    use proptest::prelude::*;
 
     fn solve(classes: Vec<Vec<Item>>, capacity: f64) -> Result<Selection, SolveError> {
         let inst = MckpInstance::new(classes, capacity).unwrap();
@@ -477,5 +937,121 @@ mod tests {
     #[should_panic(expected = "resolution must be positive")]
     fn zero_resolution_panics() {
         DpSolver::with_resolution(0);
+    }
+
+    /// The bound's `LB` and `U_0(top)` for `inst` at `resolution`, with
+    /// the DP optimum summed in class order as the DP sums it; `None`
+    /// when the instance is infeasible.
+    fn bracket(inst: &MckpInstance, resolution: usize) -> Option<(f64, f64, f64)> {
+        let solver = DpSolver::with_resolution(resolution);
+        let items = solver.scaled_items(inst);
+        let top = windows(&items, resolution).ok()?.last()?.end;
+        let mut at = vec![0; items.len()];
+        let bound = Bound::new(&solver, inst, &items, top, &mut at).expect("bound builds");
+        let picks = solver.solve(inst).expect("feasible");
+        let opt = picks
+            .choices()
+            .iter()
+            .zip(inst.classes())
+            .fold(0.0, |sum, (&i, class)| sum + class[i].profit);
+        Some((bound.lower, opt, bound.upper))
+    }
+
+    /// Classes of (eighths, jitter, real weight, profit) items. Coarse
+    /// weights are eighths, some nudged by a hundredth, so that distinct
+    /// items round up to one scaled weight; all weights are scaled by
+    /// `2 / classes`, so the lightest items fit and the heaviest do not.
+    fn bracket_instance(raw: Vec<Vec<(u32, u32, f64, f64)>>, coarse: bool) -> MckpInstance {
+        let scale = 2.0 / raw.len() as f64;
+        let classes = raw
+            .into_iter()
+            .map(|class| {
+                class
+                    .into_iter()
+                    .map(|(k, j, w, p)| {
+                        let base = if coarse {
+                            f64::from(k) / 8.0 + f64::from(j) / 100.0
+                        } else {
+                            w
+                        };
+                        Item::new(base * scale, p)
+                    })
+                    .collect()
+            })
+            .collect();
+        MckpInstance::new(classes, 1.0).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// `LB ≤` the DP optimum `≤ U_0(top)` on random instances, with
+        /// weights on a grid of sixteenths (equal scaled weights) or real.
+        /// The upper side allows 1e-12 relative: when every heaviest item
+        /// fits, `U_0` and the optimum are one sum taken in two orders.
+        #[test]
+        fn bound_brackets_the_optimum(
+            raw in prop::collection::vec(
+                prop::collection::vec((0u32..=6, 0u32..=1, 0.0f64..0.8, 0.0f64..50.0), 1..=8),
+                1..=40,
+            ),
+            coarse in 0u32..2,
+            resolution in prop_oneof![Just(7usize), Just(10), Just(64), Just(100), Just(1_000)],
+        ) {
+            let inst = bracket_instance(raw, coarse == 0);
+            if let Some((lower, opt, upper)) = bracket(&inst, resolution) {
+                prop_assert!(lower <= opt, "LB {lower} above the optimum {opt}");
+                prop_assert!(
+                    opt <= upper + 1e-12 * (1.0 + upper),
+                    "optimum {opt} above U_0(top) {upper}"
+                );
+            }
+        }
+    }
+
+    /// `U_0(top)` reads the LP relaxation on each class's upper hull. On a
+    /// grid of 4 units the first class has items at 0, 1 and 2 units
+    /// worth 0, 1 and 4, and the second class's lightest item takes 3
+    /// units, so 1 unit is left: half the hull step from 0 to 2, worth
+    /// 2. A chain through every item would read the (1, 1) → (2, 4) step
+    /// first and give 3; `LB`, the lightest items plus the second class's
+    /// step, is 0.1 against an optimum of 1.
+    #[test]
+    fn bound_reads_the_hull() {
+        let inst = MckpInstance::new(
+            vec![
+                vec![
+                    Item::new(0.0, 0.0),
+                    Item::new(0.25, 1.0),
+                    Item::new(0.5, 4.0),
+                ],
+                vec![Item::new(0.75, 0.0), Item::new(1.0, 0.1)],
+            ],
+            1.0,
+        )
+        .unwrap();
+        let (lower, opt, upper) = bracket(&inst, 4).unwrap();
+        assert!((lower - 0.1).abs() < 1e-12, "LB {lower}");
+        assert!((opt - 1.0).abs() < 1e-12, "optimum {opt}");
+        assert!((upper - 2.0).abs() < 1e-6, "U_0(top) {upper}");
+    }
+
+    /// The blind spot of a hull built on scaled weights: at 100 units the
+    /// 0.041 and 0.049 items both scale to 5, and the better of the two
+    /// lies above the chord from 0 to 10. `LB` stays a feasible
+    /// selection's profit.
+    #[test]
+    fn bound_brackets_equal_scaled_weights() {
+        let class = vec![
+            Item::new(0.0, 0.0),
+            Item::new(0.041, 1.0),
+            Item::new(0.049, 1.6),
+            Item::new(0.1, 2.0),
+        ];
+        let inst = MckpInstance::new(vec![class; 24], 1.0).unwrap();
+        for resolution in [10, 20, 100, 1_000] {
+            let (lower, opt, upper) = bracket(&inst, resolution).unwrap();
+            assert!(lower <= opt && opt <= upper, "{lower} <= {opt} <= {upper}");
+        }
     }
 }

@@ -57,11 +57,27 @@ pub fn convex_hull_indices(class: &[Item]) -> Vec<usize> {
         return pruned;
     }
     let mut hull: Vec<usize> = Vec::with_capacity(pruned.len());
-    for &idx in &pruned {
+    upper_hull(pruned.len(), |p| class[pruned[p]], &mut hull);
+    for h in &mut hull {
+        *h = pruned[*h];
+    }
+    hull
+}
+
+/// Fills `hull` with the positions `0..len` of the points on the upper
+/// convex hull of `point(0), …, point(len − 1)`, which must have strictly
+/// increasing weights and profits, as [`dominance_filter`] leaves them.
+///
+/// The positions ascend, and consecutive hull steps have strictly
+/// decreasing incremental efficiency. `hull` is cleared first, so one
+/// buffer serves many classes.
+pub fn upper_hull(len: usize, point: impl Fn(usize) -> Item, hull: &mut Vec<usize>) {
+    hull.clear();
+    for p in 0..len {
         while hull.len() >= 2 {
-            let a = class[hull[hull.len() - 2]];
-            let b = class[hull[hull.len() - 1]];
-            let c = class[idx];
+            let a = point(hull[hull.len() - 2]);
+            let b = point(hull[hull.len() - 1]);
+            let c = point(p);
             // Slopes: b is kept only if slope(a→b) > slope(b→c).
             // Cross-multiplied to avoid division (all Δw > 0 after pruning).
             let lhs = (b.profit - a.profit) * (c.weight - b.weight);
@@ -72,9 +88,8 @@ pub fn convex_hull_indices(class: &[Item]) -> Vec<usize> {
                 break;
             }
         }
-        hull.push(idx);
+        hull.push(p);
     }
-    hull
 }
 
 /// One fractional upgrade step in the LP greedy: moving class `class` from

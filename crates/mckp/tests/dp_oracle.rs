@@ -13,6 +13,12 @@
 //! are narrowest: the heaviest items sum to the grid give or take a few
 //! units, the lightest sum to it exactly, or the heaviest fall short of
 //! it and every row is flat above its window.
+//!
+//! Within a wide window it keeps only the band of budgets whose LP
+//! bound can still reach a feasible selection's profit, so the
+//! Figure-3-shaped cases below give 20–60 classes the §6.2 item shape
+//! (a zero-profit local item and ten offload levels), where the bound
+//! is built and prunes.
 
 use proptest::prelude::*;
 use rto_mckp::lp::dominance_filter;
@@ -256,6 +262,52 @@ fn window_instance(raw: Vec<WindowClass>, pin: Pin, zero_profits: bool, r: u64) 
     MckpInstance::new(classes, 1.0).expect("generated instance is valid")
 }
 
+/// One §6.2-shaped class: its share of the local load, its first
+/// offload level's weight as a multiple of its local density, and ten
+/// levels as (weight step as a multiple of the local density, profit
+/// step in tenths).
+type Figure3Class = (u32, f64, Vec<(f64, u32)>);
+
+/// 20–60 §6.2-shaped classes at capacity 1 on a grid of 100, 300 or
+/// 1000 units: a local item at density `C/D` with profit 0, then ten
+/// offload levels of rising weight and profit `k/10`. The local
+/// densities sum to 0.3–0.9, and the heaviest levels to several times
+/// the capacity, so the capacity binds and the windows are wide.
+fn figure3_case() -> impl Strategy<Value = (MckpInstance, usize)> {
+    (
+        prop::collection::vec(
+            (
+                1u32..=10,
+                0.3f64..1.5,
+                prop::collection::vec((0.02f64..0.6, 1u32..=3), 10),
+            ),
+            20..=60,
+        ),
+        0.3f64..0.9,
+        prop_oneof![Just(100usize), Just(300), Just(1_000)],
+    )
+        .prop_map(|(raw, load, resolution)| (figure3_instance(raw, load), resolution))
+}
+
+fn figure3_instance(raw: Vec<Figure3Class>, load: f64) -> MckpInstance {
+    let shares: u32 = raw.iter().map(|c| c.0).sum();
+    let classes = raw
+        .iter()
+        .map(|(share, first, levels)| {
+            let local = f64::from(*share) / f64::from(shares) * load;
+            let mut class = vec![Item::new(local, 0.0)];
+            let (mut weight, mut tenths) = (first * local, 0u32);
+            for &(step, more) in levels {
+                tenths += more;
+                class.push(Item::new(weight, f64::from(tenths) / 10.0));
+                weight += step * local;
+            }
+            class
+        })
+        .collect();
+    MckpInstance::new(classes, 1.0).expect("generated instance is valid")
+}
+
 fn instance(raw: Vec<Vec<(f64, f64)>>, capacity: f64) -> MckpInstance {
     let classes = raw
         .into_iter()
@@ -294,6 +346,48 @@ proptest! {
         let got = DpSolver::with_resolution(resolution).solve(&inst);
         let want = reference(resolution, &inst);
         prop_assert_eq!(got, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn dp_matches_cell_major_oracle_on_figure3_shapes((inst, resolution) in figure3_case()) {
+        let got = DpSolver::with_resolution(resolution).solve(&inst);
+        let want = reference(resolution, &inst);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Two items of one class share a scaled weight once rounded up (4.1
+/// and 4.9 units become 5 on a grid of 100), and the more profitable
+/// one lies above the chord from the item before the pair to the item
+/// after it. A hull built on scaled weights that kept the better item
+/// of the pair without checking convexity again read a lower bound
+/// above the optimum. Twenty-four copies of the class, the top two
+/// items lifted by 0, 0.1 or 0.2, so that the capacity binds and the
+/// bound is built.
+#[test]
+fn equal_scaled_weights_above_the_chord() {
+    let classes = (0..24)
+        .map(|k| {
+            let lift = f64::from(k % 3) / 10.0;
+            vec![
+                Item::new(0.0, 0.0),
+                Item::new(0.041, 1.0),
+                Item::new(0.049, 1.6 + lift),
+                Item::new(0.1, 2.0 + lift),
+            ]
+        })
+        .collect();
+    let inst = MckpInstance::new(classes, 1.0).unwrap();
+    for resolution in [10, 20, 100, 1_000] {
+        assert_eq!(
+            DpSolver::with_resolution(resolution).solve(&inst),
+            reference(resolution, &inst),
+            "resolution {resolution}"
+        );
     }
 }
 

@@ -10,7 +10,8 @@
 //! * one 300-task §6.2 system with WCETs scaled down by 10x, so that a
 //!   300-class DP has real choices to make;
 //! * one 1000-task fleet of light tasks, where the DP's windows are
-//!   narrowest.
+//!   narrowest, at the default resolution and at 10⁵, where the LP bound
+//!   prunes the most.
 //!
 //! A change to the DP's answer, tie-breaking included, shows up here as
 //! a changed hash; a change that only makes the solver faster must leave
@@ -33,9 +34,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn dp_plan(tasks: Vec<OdmTask>) -> OffloadingPlan {
+    dp_plan_at(tasks, DpSolver::DEFAULT_RESOLUTION)
+}
+
+fn dp_plan_at(tasks: Vec<OdmTask>, resolution: usize) -> OffloadingPlan {
     OffloadingDecisionManager::new(tasks)
         .expect("valid system")
-        .decide(&DpSolver::default())
+        .decide(&DpSolver::with_resolution(resolution))
         .expect("feasible plan")
 }
 
@@ -129,9 +134,8 @@ fn fleet_tasks(n: usize, rng: &mut Rng) -> Vec<OdmTask> {
         .collect()
 }
 
-#[test]
-fn thousand_class_fleet() {
-    let plan = dp_plan(fleet_tasks(1000, &mut Rng::seed_from(2014)));
+/// How many tasks the plan runs locally (0) and at each offload level.
+fn level_counts(plan: &OffloadingPlan) -> [usize; 4] {
     let mut levels = [0usize; 4];
     for d in plan.decisions() {
         match d.decision {
@@ -139,6 +143,23 @@ fn thousand_class_fleet() {
             Decision::Offload { level, .. } => levels[level] += 1,
         }
     }
-    assert_eq!(levels, [34, 65, 570, 331], "levels 0/1/2/3");
+    levels
+}
+
+#[test]
+fn thousand_class_fleet() {
+    let plan = dp_plan(fleet_tasks(1000, &mut Rng::seed_from(2014)));
+    assert_eq!(level_counts(&plan), [34, 65, 570, 331], "levels 0/1/2/3");
     assert_golden(&[plan], 222_260, 0x8cb5_e48b_caa9_ce85);
+}
+
+/// The same fleet on a grid ten times finer: the round-ups cost less
+/// capacity, so the plan offloads more tasks at higher levels.
+#[test]
+fn thousand_class_fleet_at_resolution_1e5() {
+    let plan = dp_plan_at(fleet_tasks(1000, &mut Rng::seed_from(2014)), 100_000);
+    let value = plan.total_benefit();
+    assert!((value - 2781.9).abs() < 0.05, "plan value {value}");
+    assert_eq!(level_counts(&plan), [1, 8, 409, 582], "levels 0/1/2/3");
+    assert_golden(&[plan], 227_162, 0x9cd7_c522_139c_5ca0);
 }
