@@ -67,10 +67,11 @@ impl Duration {
             )));
         }
         let ns = ms * 1e6;
-        if ns > u64::MAX as f64 {
+        // `u64::MAX as f64` is 2^64 itself, one past the largest count.
+        if ns >= u64::MAX as f64 {
             return Err(crate::CoreError::InvalidTime(format!("{ms} ms overflows")));
         }
-        Ok(Duration(ns.round().clamp(0.0, u64::MAX as f64) as u64))
+        Ok(Duration(round_ns(ns)))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -93,6 +94,7 @@ impl Duration {
     /// impossible by construction and a `Result` would force an
     /// unreachable error path; prefer [`Duration::from_ms_f64`] whenever
     /// the input comes from configuration or user data.
+    #[inline]
     pub fn from_ms_f64_clamped(ms: f64) -> Self {
         if ms.is_nan() || ms <= 0.0 {
             // NaN, negative, and -0.0 all land here.
@@ -102,7 +104,7 @@ impl Duration {
         if ns >= u64::MAX as f64 {
             return Duration::MAX;
         }
-        Duration(ns.round().clamp(0.0, u64::MAX as f64) as u64)
+        Duration(round_ns(ns))
     }
 
     /// The raw nanosecond count.
@@ -240,13 +242,36 @@ impl Duration {
             )));
         }
         let ns = self.0 as f64 * factor;
-        if ns > u64::MAX as f64 {
+        if ns >= u64::MAX as f64 {
             return Err(crate::CoreError::InvalidTime(
                 "scaled duration overflows".into(),
             ));
         }
-        Ok(Duration(ns.round().clamp(0.0, u64::MAX as f64) as u64))
+        Ok(Duration(round_ns(ns)))
     }
+}
+
+/// Rounds a nanosecond count `x` to the nearest integer, halves away
+/// from zero: the same function as `x.round()` followed by the
+/// saturating cast, without calling libm.
+///
+/// Why not `f64::round`: baseline x86-64 has no rounding instruction
+/// (`roundsd` is SSE4.1), so `round` compiles to a libm call, and the
+/// server's background process converts two sampled durations per
+/// arrival. Truncation is a single conversion instruction.
+///
+/// Exact on `0 ≤ x ≤ 2^64`. Below 2^53 the truncation and the
+/// remainder `x − whole` are exact, so comparing the remainder with 0.5
+/// decides the rounding exactly. From 2^53 up every `f64` is an
+/// integer: the remainder is 0 and the truncation is the value itself
+/// (saturating at 2^64). So the add never saturates: a remainder of at
+/// least 0.5 means `x < 2^53`. The comparison is added, not branched
+/// on: sampled remainders are random, and a branch on them mispredicts
+/// half the time.
+#[inline]
+fn round_ns(x: f64) -> u64 {
+    let whole = x.clamp(0.0, u64::MAX as f64) as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 // Overflow policy (DESIGN.md §8): the `Add`/`Sub`/`Mul` operator impls
@@ -483,6 +508,35 @@ mod tests {
         assert!(d.scale_f64(-0.1).is_err());
         assert!(d.scale_f64(f64::NAN).is_err());
         assert_eq!(d.scale_f64(0.0).unwrap(), Duration::ZERO);
+    }
+
+    /// `u64::MAX as f64` is 2^64, one past the largest count, so a
+    /// value of exactly 2^64 ns overflows and the largest `f64` below it
+    /// converts exactly.
+    #[test]
+    fn two_to_the_64_ns_overflows() {
+        let two_64 = 2f64.powi(64);
+        // The product rounds to exactly 2^64.
+        assert_eq!(18_446_744_073_709.55 * 1e6, two_64);
+        assert!(Duration::from_ms_f64(18_446_744_073_709.55).is_err());
+        assert!(Duration::from_ns(1 << 63).scale_f64(2.0).is_err());
+        assert_eq!(
+            Duration::from_ms_f64_clamped(18_446_744_073_709.55),
+            Duration::MAX
+        );
+
+        // The largest `f64` below 2^64 is 2^64 − 2048.
+        let below = f64::from_bits(two_64.to_bits() - 1);
+        assert_eq!(below, 18_446_744_073_709_549_568.0);
+        let d = Duration::from_ns(18_446_744_073_709_549_568);
+        assert_eq!(d.scale_f64(1.0).unwrap(), d);
+        // No millisecond value lands on it: the nearest below 2^64 is
+        // 2^64 − 4096, from the `f64` just below 18446744073709.55.
+        let ms = f64::from_bits(18_446_744_073_709.55f64.to_bits() - 1);
+        assert_eq!(
+            Duration::from_ms_f64(ms).unwrap(),
+            Duration::from_ns(18_446_744_073_709_547_520)
+        );
     }
 
     #[test]

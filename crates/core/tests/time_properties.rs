@@ -155,3 +155,78 @@ proptest! {
         }
     }
 }
+
+// --- rounding of fractional nanoseconds ------------------------------
+
+/// `2^64`, one past the largest nanosecond count, as an `f64`.
+const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// The conversion every float constructor is specified by: libm's
+/// `round` (halves away from zero), then the saturating cast.
+fn round_reference(ns: f64) -> u64 {
+    ns.round().clamp(0.0, u64::MAX as f64) as u64
+}
+
+/// `x` moved by `ulps` units in the last place (up for positive `x`).
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+}
+
+/// Non-negative nanosecond counts up to 2^64 + a few ulps: uniform bit
+/// patterns (every exponent), sampled magnitudes, the halves `k + 0.5`
+/// and their neighbours, and the neighbourhoods of 2^52, 2^53, 2^63 and
+/// 2^64, where the integer and fractional parts change representation.
+fn fractional_ns() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0u64..=TWO_64.to_bits()).prop_map(f64::from_bits),
+        0.0f64..1e10,
+        (prop_oneof![0u64..64, 0u64..(1 << 52)], -1i64..=1)
+            .prop_map(|(k, d)| nudge(k as f64 + 0.5, d)),
+        (
+            prop_oneof![Just(52), Just(53), Just(63), Just(64)],
+            prop_oneof![Just(-1.5), Just(-0.5), Just(0.0), Just(0.5), Just(1.5)],
+            -3i64..=3,
+        )
+            .prop_map(|(e, off, d)| nudge(2f64.powi(e) + off, d).max(0.0)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `scale_f64` rounds `self · factor`; at one nanosecond the product
+    /// is the factor itself, so every count above is reached exactly.
+    #[test]
+    fn scale_f64_rounds_like_libm(ns in fractional_ns()) {
+        let got = Duration::from_ns(1).scale_f64(ns);
+        if ns >= TWO_64 {
+            prop_assert!(got.is_err(), "{ns:e} ns must overflow");
+        } else {
+            prop_assert_eq!(got.ok(), Some(Duration::from_ns(round_reference(ns))), "{:e} ns", ns);
+        }
+    }
+
+    #[test]
+    fn from_ms_f64_rounds_like_libm(ns in fractional_ns()) {
+        let ms = ns / 1e6;
+        let product = ms * 1e6;
+        let got = Duration::from_ms_f64(ms);
+        if product >= TWO_64 {
+            prop_assert!(got.is_err(), "{ms:e} ms must overflow");
+        } else {
+            prop_assert_eq!(got.ok(), Some(Duration::from_ns(round_reference(product))), "{:e} ms", ms);
+        }
+    }
+
+    /// The clamped constructor agrees everywhere: the reference's
+    /// saturating cast clamps 2^64 and beyond to `Duration::MAX` too.
+    #[test]
+    fn from_ms_f64_clamped_rounds_like_libm(ns in fractional_ns()) {
+        let ms = ns / 1e6;
+        prop_assert_eq!(
+            Duration::from_ms_f64_clamped(ms),
+            Duration::from_ns(round_reference(ms * 1e6)),
+            "{:e} ms", ms
+        );
+    }
+}

@@ -155,19 +155,25 @@ where
 }
 
 /// Like [`run_matrix`], but hands each trial a **private** [`Obs`]
-/// (null sink, fresh registry) alongside its [`TrialCtx`]. The worker
-/// that ran the trial folds whatever it recorded into its own
-/// [`MetricsShard`] with
+/// (null sink, empty registry) alongside its [`TrialCtx`]. Each worker
+/// keeps one such `Obs` and one [`MetricsShard`]. After each simulated
+/// trial it folds the registry into the shard with
 /// [`MetricsRegistry::merge_into`](rto_obs::MetricsRegistry::merge_into)
-/// and drops the registry, so per-trial metrics never cross the channel
-/// and finished trials keep none. The workers' shards are merged into
-/// [`MatrixRun::shard`] when the matrix ends.
+/// and then [`clear`](rto_obs::MetricsRegistry::clear)s it, so per-trial
+/// metrics never cross the channel and finished trials keep none. The
+/// workers' shards are merged into [`MatrixRun::shard`] when the matrix
+/// ends.
 ///
 /// Per-trial registries are what keep the determinism contract intact
-/// under instrumentation: no two trials ever share a counter, so the
-/// merged shard is a set-union of per-trial monoid elements and cannot
-/// observe scheduling (nor which worker ran which trial). Cache hits
-/// contribute the empty shard (identity).
+/// under instrumentation. Every trial starts from an empty registry, and
+/// only storage is shared between a worker's trials: a cleared registry
+/// answers exactly as a new one, and a metric handle a trial still holds
+/// is never handed to the next. So no two trials ever share a counter,
+/// and the merged shard is a set-union of per-trial monoid elements that
+/// cannot observe scheduling (nor which worker ran which trial). Cache
+/// hits contribute the empty shard (identity) and leave the registry
+/// alone. The `Obs` is the trial's for the trial only: a clone of it
+/// kept past the trial would see the worker's next trials.
 pub fn run_matrix_observed<R, F>(spec: &MatrixSpec, opts: &ExpOptions, f: F) -> MatrixRun<R>
 where
     R: TrialData + Send,
@@ -195,37 +201,33 @@ where
         .as_ref()
         .and_then(|root| TrialCache::open(root, &spec.name).ok());
 
-    let run_trial = |acc: &mut MetricsShard, i: usize| -> TrialOutcome<R> {
+    // A worker's state: its shard, and the `Obs` its trials record into.
+    let run_trial = |(acc, trial_obs): &mut (MetricsShard, Obs), i: usize| -> TrialOutcome<R> {
         let point = i / trials;
         let trial = i % trials;
         let seed = derive_seed(spec.base_seed, point as u64, trial as u64);
         let trial_sw = Stopwatch::start();
         let ctx = TrialCtx { point, trial, seed };
-        if let Some(cache) = &cache {
-            let key = trial_key(spec, point, trial, seed);
-            if let Some(value) = cache.load::<R>(&key) {
+        let key = cache
+            .as_ref()
+            .map(|cache| (cache, trial_key(spec, point, trial, seed)));
+        if let Some((cache, key)) = &key {
+            if let Some(value) = cache.load::<R>(key) {
                 return TrialOutcome {
                     value,
                     cached: true,
                     elapsed_ns: trial_sw.elapsed_ns(),
                 };
             }
-            let trial_obs = Obs::disabled();
-            let value = f(&ctx, &trial_obs);
-            // Best effort: a failed store only means re-simulating later.
-            let _ = cache.store(&key, &value);
-            let elapsed_ns = trial_sw.elapsed_ns();
-            trial_obs.metrics().merge_into(acc);
-            return TrialOutcome {
-                value,
-                cached: false,
-                elapsed_ns,
-            };
         }
-        let trial_obs = Obs::disabled();
-        let value = f(&ctx, &trial_obs);
+        let value = f(&ctx, trial_obs);
+        if let Some((cache, key)) = &key {
+            // Best effort: a failed store only means re-simulating later.
+            let _ = cache.store(key, &value);
+        }
         let elapsed_ns = trial_sw.elapsed_ns();
         trial_obs.metrics().merge_into(acc);
+        trial_obs.metrics().clear();
         TrialOutcome {
             value,
             cached: false,
@@ -263,9 +265,8 @@ where
         );
     };
 
-    let (outcomes, worker_shards) =
-        run_indexed(total, opts.jobs, MetricsShard::default, run_trial, on_done);
-    let mut worker_shards = worker_shards.into_iter();
+    let (outcomes, workers) = run_indexed(total, opts.jobs, Default::default, run_trial, on_done);
+    let mut worker_shards = workers.into_iter().map(|(shard, _)| shard);
     let mut shard = worker_shards.next().unwrap_or_default();
     for other in worker_shards {
         shard.merge(&other);
@@ -378,6 +379,32 @@ mod tests {
             let run = run_matrix_observed(&spec("obs-det"), &opts, observed_trial);
             assert_eq!(run.points, base.points, "jobs={jobs} results diverged");
             assert_eq!(run.shard.to_json(), json, "jobs={jobs} shard diverged");
+        }
+    }
+
+    /// A worker reuses one registry for its trials, cleared in between:
+    /// each trial still starts from an empty one, at any job count.
+    #[test]
+    fn every_trial_starts_from_an_empty_registry() {
+        for jobs in [1, 2, 8] {
+            let opts = ExpOptions {
+                jobs,
+                ..ExpOptions::default()
+            };
+            let run = run_matrix_observed(&spec("empty-start"), &opts, |ctx, obs| {
+                let empty = obs.metrics().snapshot().is_empty() && obs.metrics().shard().is_empty();
+                observed_trial(ctx, obs);
+                Row {
+                    hits: u64::from(empty),
+                    ratio: 0.0,
+                }
+            });
+            let trials: Vec<Row> = run.points.into_iter().flatten().collect();
+            assert_eq!(trials.len(), 35);
+            assert!(
+                trials.iter().all(|r| r.hits == 1),
+                "jobs={jobs}: {trials:?}"
+            );
         }
     }
 

@@ -12,6 +12,12 @@
 //! that records per event keeps the handles it resolved (the engine's
 //! `SimMetrics`, the server's `NetMeter`).
 //!
+//! Its companion for many short runs: **clear and reuse a registry,
+//! never rebuild it.** [`MetricsRegistry::clear`] makes a registry
+//! answer like a new one, but keeps the storage of every metric only it
+//! still holds, so the next run's registration of the same name costs
+//! no allocation.
+//!
 //! The histogram uses the classic log-linear bucket layout (as in HDR
 //! histograms): values below 2^[`SUB_BITS`] get exact unit buckets;
 //! every higher power-of-two range is split into 2^[`SUB_BITS`] linear
@@ -25,11 +31,11 @@ use std::fmt::Write as _;
 // model checker so the Counter/Gauge/Histogram hot paths can be
 // model-tested (see `tests/loom_metrics.rs` and DESIGN.md §8).
 #[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
+use loom::sync::atomic::{fence, AtomicU64, Ordering};
 #[cfg(loom)]
 use loom::sync::{Arc, Mutex};
 #[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 #[cfg(not(loom))]
 use std::sync::{Arc, Mutex};
 
@@ -282,17 +288,23 @@ impl Histogram {
     /// view (a racing record may have bumped its bucket before its
     /// extreme). Storage stays dense, so recording never allocates.
     fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (lo, slots) = self.occupied_slots();
+        slots.iter().zip(lo..).map(|(slot, i)| {
+            // analyze: allow(L6): snapshot read; exports are point-in-time
+            (i, slot.load(Ordering::Relaxed))
+        })
+    }
+
+    /// The slots of [`occupied`](Self::occupied), and the index of the
+    /// first.
+    fn occupied_slots(&self) -> (usize, &[AtomicU64]) {
         let c = &self.core;
         // analyze: allow(L6): snapshot read; the range is exact at rest and torn mid-flight like the other fields
         let lo = bucket_index(c.min.load(Ordering::Relaxed));
         // analyze: allow(L6): as above
         let hi = bucket_index(c.max.load(Ordering::Relaxed));
         // An empty histogram has min > max, so the range is empty.
-        let slots = c.counts.get(lo..=hi).unwrap_or_default();
-        slots.iter().zip(lo..).map(|(slot, i)| {
-            // analyze: allow(L6): snapshot read; exports are point-in-time
-            (i, slot.load(Ordering::Relaxed))
-        })
+        (lo, c.counts.get(lo..=hi).unwrap_or_default())
     }
 
     /// Approximate `q`-quantile (0 ≤ q ≤ 1): the lower bound of the
@@ -527,12 +539,24 @@ impl MetricsSnapshot {
     }
 }
 
+/// A metric as the registry stores it.
+#[derive(Debug)]
+struct Entry<H> {
+    handle: H,
+    /// Whether the metric is registered. A retired entry is storage
+    /// that [`MetricsRegistry::clear`] kept for the next registration
+    /// of its name; every lookup and export skips it.
+    live: bool,
+}
+
+type Entries<H> = BTreeMap<String, Entry<H>>;
+
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, Series>,
+    counters: Entries<Counter>,
+    gauges: Entries<Gauge>,
+    histograms: Entries<Histogram>,
+    series: Entries<Series>,
 }
 
 /// A named collection of metrics.
@@ -567,74 +591,81 @@ impl MetricsRegistry {
     /// Lookups by name take the registry lock: resolve a handle once at
     /// set-up and record through it, never look it up per event.
     pub fn counter(&self, name: &str) -> Counter {
-        handle(&mut self.lock().counters, name, Counter::default)
+        handle(&mut self.lock().counters, name, Counter::default, |_| {})
     }
 
     /// Returns (registering on first use) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        handle(&mut self.lock().gauges, name, Gauge::default)
+        handle(&mut self.lock().gauges, name, Gauge::default, |_| {})
     }
 
     /// Returns (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        handle(&mut self.lock().histograms, name, Histogram::new)
+        handle(&mut self.lock().histograms, name, Histogram::new, |_| {})
     }
 
     /// Returns (registering on first use) the windowed time series
     /// `name` with the given bucket width. The width is fixed on first
     /// registration; later calls return the existing series unchanged.
     pub fn series(&self, name: &str, bucket_width_ns: u64) -> Series {
-        handle(&mut self.lock().series, name, || {
-            Series::with_width(bucket_width_ns)
-        })
+        handle(
+            &mut self.lock().series,
+            name,
+            || Series::with_width(bucket_width_ns),
+            |s| s.lock().bucket_width_ns = bucket_width_ns.max(1),
+        )
+    }
+
+    /// Unregisters every metric: afterwards every lookup, export and
+    /// renderer behaves exactly as on a new registry.
+    ///
+    /// Only storage survives. A metric that only the registry still
+    /// holds is reset to empty and kept, and the next registration of
+    /// its name gets it back, so the name, the `Arc` and a histogram's
+    /// bucket array are not reallocated. A metric that anyone else
+    /// still holds a handle to is dropped from the registry and never
+    /// reused, so a stale handle cannot write into the next run. Kept
+    /// storage lives for one `clear`: whatever was not registered again
+    /// is freed at the next one, so a registry cleared between runs
+    /// holds at most one run's metrics.
+    pub fn clear(&self) {
+        let mut inner = self.lock();
+        retire(&mut inner.counters);
+        retire(&mut inner.gauges);
+        retire(&mut inner.histograms);
+        retire(&mut inner.series);
     }
 
     /// Exports every metric's current value.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(name, c)| CounterSample {
+            counters: collect_live(&inner.counters, |(name, c)| CounterSample {
+                name: name.clone(),
+                value: c.get(),
+            }),
+            gauges: collect_live(&inner.gauges, |(name, g)| GaugeSample {
+                name: name.clone(),
+                value: g.get(),
+            }),
+            histograms: collect_live(&inner.histograms, |(name, h)| HistogramSample {
+                name: name.clone(),
+                count: h.count(),
+                sum: h.sum(),
+                min: h.min(),
+                max: h.max(),
+                p50: h.quantile(0.50),
+                p90: h.quantile(0.90),
+                p99: h.quantile(0.99),
+            }),
+            series: collect_live(&inner.series, |(name, s)| {
+                let shard = s.shard();
+                SeriesSample {
                     name: name.clone(),
-                    value: c.get(),
-                })
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(name, g)| GaugeSample {
-                    name: name.clone(),
-                    value: g.get(),
-                })
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(name, h)| HistogramSample {
-                    name: name.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    min: h.min(),
-                    max: h.max(),
-                    p50: h.quantile(0.50),
-                    p90: h.quantile(0.90),
-                    p99: h.quantile(0.99),
-                })
-                .collect(),
-            series: inner
-                .series
-                .iter()
-                .map(|(name, s)| {
-                    let shard = s.shard();
-                    SeriesSample {
-                        name: name.clone(),
-                        bucket_width_ns: shard.bucket_width_ns,
-                        points: shard.points,
-                    }
-                })
-                .collect(),
+                    bucket_width_ns: shard.bucket_width_ns,
+                    points: shard.points,
+                }
+            }),
         }
     }
 
@@ -653,24 +684,24 @@ impl MetricsRegistry {
     /// Folds every metric into `acc`; the same as
     /// `acc.merge(&self.shard())`, without building the intermediate
     /// shard. A sweep worker folds each trial's registry this way and
-    /// then drops it.
+    /// then clears it.
     pub fn merge_into(&self, acc: &mut crate::shard::MetricsShard) {
         use crate::shard::{fold, GaugeShard};
         let inner = self.lock();
-        for (name, c) in &inner.counters {
+        for (name, c) in live(&inner.counters) {
             fold(&mut acc.counters, name, |a| *a = a.saturating_add(c.get()));
         }
-        for (name, g) in &inner.gauges {
+        for (name, g) in live(&inner.gauges) {
             let g = GaugeShard {
                 seq: g.write_seq(),
                 bits: g.get().to_bits(),
             };
             fold(&mut acc.gauges, name, |a| a.merge(&g));
         }
-        for (name, h) in &inner.histograms {
+        for (name, h) in live(&inner.histograms) {
             fold(&mut acc.histograms, name, |a| h.merge_into(a));
         }
-        for (name, s) in &inner.series {
+        for (name, s) in live(&inner.series) {
             fold(&mut acc.series, name, |a| a.merge(&s.shard()));
         }
     }
@@ -716,12 +747,134 @@ impl MetricsRegistry {
 }
 
 /// The handle registered as `name`, registering `make()` on first use.
-/// The name is copied into the registry only on that first use.
-fn handle<H: Clone>(map: &mut BTreeMap<String, H>, name: &str, make: impl FnOnce() -> H) -> H {
-    if let Some(h) = map.get(name) {
-        return h.clone();
+/// A retired entry of that name is registered again after `revive`
+/// re-applies the registration's parameters to it. The name is copied
+/// into the registry only when no entry has it.
+fn handle<H: Clone>(
+    map: &mut Entries<H>,
+    name: &str,
+    make: impl FnOnce() -> H,
+    revive: impl FnOnce(&H),
+) -> H {
+    if let Some(entry) = map.get_mut(name) {
+        if !entry.live {
+            revive(&entry.handle);
+            entry.live = true;
+        }
+        return entry.handle.clone();
     }
-    map.entry(name.to_owned()).or_insert_with(make).clone()
+    let entry = map.entry(name.to_owned()).or_insert_with(|| Entry {
+        handle: make(),
+        live: true,
+    });
+    entry.handle.clone()
+}
+
+/// The registered metrics of `map`, by name.
+fn live<H>(map: &Entries<H>) -> impl Iterator<Item = (&String, &H)> {
+    map.iter()
+        .filter(|(_, e)| e.live)
+        .map(|(name, e)| (name, &e.handle))
+}
+
+/// `f` over the registered metrics of `map`, in a `Vec` sized once.
+fn collect_live<H, T>(map: &Entries<H>, f: impl FnMut((&String, &H)) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(live(map).count());
+    out.extend(live(map).map(f));
+    out
+}
+
+/// Storage a registry can keep across [`MetricsRegistry::clear`].
+trait Reusable {
+    /// Whether the registry holds the only handle.
+    fn unshared(&self) -> bool;
+    /// Resets the storage to that of a new metric. Called only on an
+    /// unshared handle, so no record runs concurrently.
+    fn reset(&self);
+}
+
+/// Whether `arc` is the only handle to its value. The acquire fence
+/// pairs with the release decrement of the handles dropped before, so
+/// their records are visible to the reset that follows.
+fn sole<T>(arc: &Arc<T>) -> bool {
+    let sole = Arc::strong_count(arc) == 1;
+    if sole {
+        fence(Ordering::Acquire);
+    }
+    sole
+}
+
+impl Reusable for Counter {
+    fn unshared(&self) -> bool {
+        sole(&self.value)
+    }
+
+    fn reset(&self) {
+        // analyze: allow(L6): unshared storage; the registry lock orders it before the next lookup
+        self.value.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Reusable for Gauge {
+    fn unshared(&self) -> bool {
+        sole(&self.bits) && sole(&self.seq)
+    }
+
+    fn reset(&self) {
+        // analyze: allow(L6): unshared storage; the registry lock orders it before the next lookup
+        self.bits.store(0.0f64.to_bits(), Ordering::Relaxed);
+        // analyze: allow(L6): as above
+        self.seq.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Reusable for Histogram {
+    fn unshared(&self) -> bool {
+        sole(&self.core)
+    }
+
+    /// Zeroes only the occupied buckets, `bucket_index(min) ..=
+    /// bucket_index(max)`, exact at rest as in the scans, then restores
+    /// the empty extremes.
+    fn reset(&self) {
+        for slot in self.occupied_slots().1 {
+            // analyze: allow(L6): unshared storage; the registry lock orders it before the next lookup
+            slot.store(0, Ordering::Relaxed);
+        }
+        let c = &self.core;
+        // analyze: allow(L6): as above
+        c.count.store(0, Ordering::Relaxed);
+        // analyze: allow(L6): as above
+        c.sum.store(0, Ordering::Relaxed);
+        // analyze: allow(L6): as above
+        c.min.store(u64::MAX, Ordering::Relaxed);
+        // analyze: allow(L6): as above
+        c.max.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Reusable for Series {
+    fn unshared(&self) -> bool {
+        sole(&self.inner)
+    }
+
+    fn reset(&self) {
+        self.lock().points.clear();
+    }
+}
+
+/// [`MetricsRegistry::clear`] on one family: frees the entries retired
+/// by the previous clear and not registered since, frees the metrics
+/// someone else still holds, and retires the rest, reset.
+fn retire<H: Reusable>(map: &mut Entries<H>) {
+    map.retain(|_, e| {
+        let keep = e.live && e.handle.unshared();
+        if keep {
+            e.handle.reset();
+            e.live = false;
+        }
+        keep
+    });
 }
 
 /// Maps a metric name onto the Prometheus charset `[a-zA-Z0-9_:]`.
@@ -913,6 +1066,52 @@ mod tests {
         assert!(text.contains("# TYPE rto_response_ns summary"));
         assert!(text.contains("rto_response_ns{quantile=\"0.5\"}"));
         assert!(text.contains("rto_response_ns_count 1"));
+    }
+
+    /// `clear` keeps what only the registry holds for the next
+    /// registration of the same name, drops what someone else holds, and
+    /// frees what the next run does not register again.
+    #[test]
+    fn clear_reuses_only_unshared_storage_for_one_clear() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat");
+        h.record(40);
+        h.record(u64::MAX);
+        let core = Arc::as_ptr(&h.core);
+        drop(h);
+        let kept = reg.counter("kept");
+        reg.series("ticks", 10).record(5, 1);
+        reg.gauge("idle").set(2.0);
+        reg.clear();
+        assert!(reg.snapshot().is_empty());
+        assert!(reg.shard().is_empty());
+
+        let h = reg.histogram("lat");
+        assert_eq!(Arc::as_ptr(&h.core), core, "unshared storage is reused");
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (0, 0, None, None));
+        assert!(h.core.counts.iter().all(|n| n.load(Ordering::Relaxed) == 0));
+        let fresh = reg.counter("kept");
+        assert!(
+            !Arc::ptr_eq(&fresh.value, &kept.value),
+            "a shared handle is never reused"
+        );
+        kept.inc();
+        assert_eq!(fresh.get(), 0);
+        let s = reg.series("ticks", 3);
+        assert_eq!(
+            s.shard().bucket_width_ns,
+            3,
+            "a revived series takes the new width"
+        );
+        assert!(s.shard().points.is_empty());
+        drop((h, s));
+
+        // "idle" was not registered again: freed at this clear.
+        reg.clear();
+        let inner = reg.lock();
+        assert!(inner.gauges.is_empty());
+        assert_eq!(inner.histograms.len(), 1);
+        assert!(inner.histograms.values().all(|e| !e.live));
     }
 
     #[test]

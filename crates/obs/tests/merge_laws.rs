@@ -9,7 +9,7 @@
 //! and therefore byte-identical to the serial run.
 
 use proptest::prelude::*;
-use rto_obs::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+use rto_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Series};
 use rto_obs::shard::{GaugeShard, HistogramDigest, MetricsShard, SeriesShard, TimePoint};
 use std::collections::BTreeMap;
 
@@ -202,4 +202,176 @@ fn digest_and_series_defaults_are_identities_too() {
     };
     m.merge(&MetricsShard::default());
     assert_eq!(m.counters.get("c"), Some(&1));
+}
+
+/// One registration and write in a trial script. `keep` holds the
+/// handle past the trial's end and writes through it again in the next
+/// trial, after the registry was cleared.
+#[derive(Debug, Clone)]
+enum Op {
+    Count {
+        name: usize,
+        add: u64,
+        keep: bool,
+    },
+    Set {
+        name: usize,
+        value: u32,
+        keep: bool,
+    },
+    Record {
+        name: usize,
+        value: u64,
+        keep: bool,
+    },
+    Mark {
+        name: usize,
+        width: u64,
+        ts: u64,
+        value: u64,
+    },
+}
+
+/// A handle held across a `clear`.
+enum Kept {
+    Counter(Counter, u64),
+    Gauge(Gauge, u32),
+    Histogram(Histogram, u64),
+}
+
+impl Kept {
+    fn write(&self) {
+        match self {
+            Kept::Counter(c, n) => c.add(*n),
+            Kept::Gauge(g, v) => g.set(f64::from(*v)),
+            Kept::Histogram(h, v) => h.record(*v),
+        }
+    }
+}
+
+/// Histogram values around the extremes and the bucket edges, where a
+/// reset that misses one bucket would show.
+fn edge_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        (5u32..64).prop_map(|e| 1u64 << e),
+        (5u32..64).prop_map(|e| (1u64 << e) - 1),
+        0u64..100,
+        0u64..=u64::MAX,
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // A third of the handles are kept past their trial.
+    let keep = || (0u32..3).prop_map(|k| k == 0);
+    prop_oneof![
+        (0usize..4, 0u64..1_000, keep()).prop_map(|(name, add, keep)| Op::Count {
+            name,
+            add,
+            keep
+        }),
+        (0usize..4, 0u32..1_000, keep()).prop_map(|(name, value, keep)| Op::Set {
+            name,
+            value,
+            keep
+        }),
+        (0usize..4, edge_value(), keep()).prop_map(|(name, value, keep)| Op::Record {
+            name,
+            value,
+            keep
+        }),
+        (
+            0usize..4,
+            prop_oneof![Just(1u64), Just(7), Just(50)],
+            0u64..400,
+            0u64..100
+        )
+            .prop_map(|(name, width, ts, value)| Op::Mark {
+                name,
+                width,
+                ts,
+                value
+            }),
+    ]
+}
+
+/// Runs one trial script: first the writes through handles kept from
+/// the previous trial, then the script's own registrations and writes.
+/// Returns the handles this trial keeps.
+fn run_script(reg: &MetricsRegistry, script: &[Op], kept: Vec<Kept>) -> Vec<Kept> {
+    for k in &kept {
+        k.write();
+    }
+    drop(kept);
+    let mut keep_now = Vec::new();
+    for op in script {
+        match *op {
+            Op::Count { name, add, keep } => {
+                let c = reg.counter(NAMES[name]);
+                c.add(add);
+                if keep {
+                    keep_now.push(Kept::Counter(c, add));
+                }
+            }
+            Op::Set { name, value, keep } => {
+                let g = reg.gauge(NAMES[name]);
+                g.set(f64::from(value));
+                if keep {
+                    keep_now.push(Kept::Gauge(g, value));
+                }
+            }
+            Op::Record { name, value, keep } => {
+                let h = reg.histogram(NAMES[name]);
+                h.record(value);
+                if keep {
+                    keep_now.push(Kept::Histogram(h, value));
+                }
+            }
+            Op::Mark {
+                name,
+                width,
+                ts,
+                value,
+            } => {
+                let s: Series = reg.series(NAMES[name], width);
+                s.record(ts, value);
+            }
+        }
+    }
+    keep_now
+}
+
+/// What one trial exports: its snapshot and its shard, as JSON.
+fn exports(reg: &MetricsRegistry) -> (String, String) {
+    let snap = serde_json::to_string(&reg.snapshot()).expect("snapshot serializes");
+    (snap, reg.shard().to_json())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A cleared registry is a new registry: K trial scripts run through
+    /// one registry, folded with `merge_into` and then cleared, export
+    /// exactly what they export from K new registries, trial by trial
+    /// and in the folded shard.
+    #[test]
+    fn a_cleared_registry_is_a_new_registry(
+        trials in prop::collection::vec(prop::collection::vec(op_strategy(), 0..12), 1..6),
+    ) {
+        let reused = MetricsRegistry::new();
+        let (mut acc_reused, mut acc_new) = (MetricsShard::default(), MetricsShard::default());
+        let (mut kept_reused, mut kept_new) = (Vec::new(), Vec::new());
+        for (k, script) in trials.iter().enumerate() {
+            kept_reused = run_script(&reused, script, kept_reused);
+            let fresh = MetricsRegistry::new();
+            kept_new = run_script(&fresh, script, kept_new);
+            prop_assert_eq!(exports(&reused), exports(&fresh), "trial {}", k);
+            reused.merge_into(&mut acc_reused);
+            fresh.merge_into(&mut acc_new);
+            reused.clear();
+            prop_assert!(reused.snapshot().is_empty(), "trial {} left metrics behind", k);
+        }
+        prop_assert_eq!(acc_reused.to_json(), acc_new.to_json());
+    }
 }

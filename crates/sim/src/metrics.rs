@@ -223,10 +223,13 @@ impl SimReport {
     }
 }
 
-/// Builds per-task statistics from raw job records in one pass:
-/// `job_task[k]` is the index (into `task_ids` and `benefits`) of the
-/// task that released `jobs[k]`. Each task's sums accumulate in job
-/// order.
+/// Builds per-task statistics from raw job records: `job_task[k]` is
+/// the index (into `task_ids` and `benefits`) of the task that released
+/// `jobs[k]`. Each task's sums accumulate in job order.
+///
+/// One pass counts and sums; it also counts each task's response times.
+/// A second pass then fills one buffer with them, each task's slice in
+/// job order, so the report needs two buffers, not one per task.
 pub(crate) fn aggregate(
     task_ids: &[TaskId],
     benefits: &[(f64, f64)], // per task: (local value * weight, offload level value * weight)
@@ -234,29 +237,27 @@ pub(crate) fn aggregate(
     job_task: &[usize],
     horizon: Instant,
 ) -> Vec<TaskStats> {
-    // Per task: its statistics and its response times, in job order.
-    let mut acc: Vec<(TaskStats, Vec<f64>)> = task_ids
+    let mut stats: Vec<TaskStats> = task_ids
         .iter()
-        .map(|&task_id| {
-            let stats = TaskStats {
-                task_id,
-                released: 0,
-                accountable: 0,
-                completed: 0,
-                misses: 0,
-                local_jobs: 0,
-                remote_jobs: 0,
-                compensated_jobs: 0,
-                response_time: None,
-                realized_benefit: 0.0,
-                baseline_benefit: 0.0,
-            };
-            (stats, Vec::new())
+        .map(|&task_id| TaskStats {
+            task_id,
+            released: 0,
+            accountable: 0,
+            completed: 0,
+            misses: 0,
+            local_jobs: 0,
+            remote_jobs: 0,
+            compensated_jobs: 0,
+            response_time: None,
+            realized_benefit: 0.0,
+            baseline_benefit: 0.0,
         })
         .collect();
+    // Each task's response-time count, turned below into the end of its
+    // slice of one buffer.
+    let mut ends = vec![0usize; task_ids.len()];
     for (job, &i) in jobs.iter().zip(job_task) {
-        let (Some((stats, rts)), Some(&(local_value, level_value))) =
-            (acc.get_mut(i), benefits.get(i))
+        let (Some(stats), Some(&(local_value, level_value))) = (stats.get_mut(i), benefits.get(i))
         else {
             continue; // the engine releases jobs only for its own tasks
         };
@@ -269,38 +270,67 @@ pub(crate) fn aggregate(
         if job.missed_deadline(horizon) {
             stats.misses += 1;
         }
-        match (job.completed_at, job.outcome) {
-            (Some(_), Some(outcome)) => {
-                stats.completed += 1;
-                if let Some(rt) = job.response_time() {
-                    rts.push(rt.as_ms_f64());
-                }
-                match outcome {
-                    Outcome::Local => {
-                        stats.local_jobs += 1;
-                        stats.realized_benefit += local_value;
-                    }
-                    Outcome::Remote => {
-                        stats.remote_jobs += 1;
-                        stats.realized_benefit += level_value;
-                    }
-                    Outcome::Compensated => {
-                        stats.compensated_jobs += 1;
-                        stats.realized_benefit += local_value;
-                    }
-                }
+        let Some(outcome) = judged_outcome(job, horizon) else {
+            continue; // unfinished accountable job: no benefit
+        };
+        stats.completed += 1;
+        if let Some(n) = ends.get_mut(i) {
+            *n += 1;
+        }
+        match outcome {
+            Outcome::Local => {
+                stats.local_jobs += 1;
+                stats.realized_benefit += local_value;
             }
-            _ => {
-                // Unfinished accountable job: no benefit.
+            Outcome::Remote => {
+                stats.remote_jobs += 1;
+                stats.realized_benefit += level_value;
+            }
+            Outcome::Compensated => {
+                stats.compensated_jobs += 1;
+                stats.realized_benefit += local_value;
             }
         }
     }
-    acc.into_iter()
-        .map(|(mut stats, rts)| {
-            stats.response_time = Summary::of(&rts);
-            stats
-        })
-        .collect()
+    // Counts to slice starts; the fill below advances each start to its
+    // slice's end, writing each task's response times in job order.
+    let mut total = 0;
+    for n in &mut ends {
+        let count = *n;
+        *n = total;
+        total += count;
+    }
+    let mut response_ms = vec![0.0; total];
+    for (job, &i) in jobs.iter().zip(job_task) {
+        let (Some(_), Some(rt)) = (
+            benefits.get(i),
+            judged_outcome(job, horizon).and(job.response_time()),
+        ) else {
+            continue;
+        };
+        if let Some(at) = ends.get_mut(i) {
+            if let Some(slot) = response_ms.get_mut(*at) {
+                *slot = rt.as_ms_f64();
+            }
+            *at += 1;
+        }
+    }
+    let mut start = 0;
+    for (stats, &end) in stats.iter_mut().zip(&ends) {
+        stats.response_time = response_ms.get(start..end).and_then(Summary::of);
+        start = end;
+    }
+    stats
+}
+
+/// The outcome of a job that counts as completed in its task's
+/// statistics: accountable at `horizon`, finished, and with an outcome.
+/// Exactly these jobs contribute a response time.
+fn judged_outcome(job: &JobRecord, horizon: Instant) -> Option<Outcome> {
+    if job.abs_deadline > horizon {
+        return None;
+    }
+    job.completed_at.and(job.outcome)
 }
 
 /// Internal extension: `Duration` ratio that tolerates a zero denominator.

@@ -220,7 +220,8 @@ pub struct Simulation {
     benefits: Vec<(f64, f64)>, // per task: (weighted local value, weighted level value)
     server: Box<dyn OffloadServer>,
     shaper: Option<RequestShaper>,
-    obs: Obs,
+    /// The installed context; `run` makes a disabled one when none is.
+    obs: Option<Obs>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -307,7 +308,7 @@ impl Simulation {
             benefits,
             server: Box::new(BlackHoleServer),
             shaper: None,
-            obs: Obs::disabled(),
+            obs: None,
         })
     }
 
@@ -333,7 +334,7 @@ impl Simulation {
     /// instrumented and uninstrumented runs with the same seed produce
     /// identical traces.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.obs = Some(obs);
         self
     }
 
@@ -351,12 +352,17 @@ impl Simulation {
         let mut rng = Rng::seed_from(config.seed);
         let exec_rng = rng.fork(1);
         let release_rng = rng.fork(2);
-        let m = SimMetrics::new(&self.obs);
+        let obs = self.obs.unwrap_or_default();
+        let m = SimMetrics::new(&obs);
         // Steady state holds at most one release, one response, and one
         // timer per task; pre-sizing keeps `push` off the allocator on
         // the hot path (A7).
         let event_cap = self.tasks.len().saturating_mul(3).max(16);
+        // The run records are sized once, from the horizon and the
+        // periods, instead of growing by doubling.
+        let (jobs, subjobs) = record_bounds(&self.tasks, &self.modes, config.horizon);
         let mut engine = Engine {
+            ready: BinaryHeap::with_capacity(self.tasks.len()),
             tasks: self.tasks,
             modes: self.modes,
             benefits: self.benefits,
@@ -366,24 +372,59 @@ impl Simulation {
             horizon: Instant::ZERO + config.horizon,
             clock: Instant::ZERO,
             events: EventQueue::with_capacity(event_cap),
-            ready: BinaryHeap::new(),
             ready_seq: 0,
-            jobs: Vec::new(),
-            job_task: Vec::new(),
-            subjobs: Vec::new(),
-            subjob_slot: Vec::new(),
-            trace: Vec::new(),
+            jobs: Vec::with_capacity(jobs),
+            job_task: Vec::with_capacity(jobs),
+            subjobs: Vec::with_capacity(subjobs),
+            subjob_slot: Vec::with_capacity(jobs),
+            trace: Vec::with_capacity(subjobs),
             busy: Duration::ZERO,
             preemptions: 0,
             exec_rng,
             release_rng,
-            obs: self.obs,
+            obs,
             m,
             running: None,
             running_end: Instant::ZERO,
         };
         engine.run()
     }
+}
+
+/// The most jobs [`Simulation::run`] reserves records for before the
+/// first event, so that an absurd horizon does not reserve gigabytes up
+/// front. 2^17 jobs is ~20 MB of job records, task indexes and lookup
+/// rows, and the twice as many sub-job logs and trace segments it
+/// allows add ~25 MB. A longer run grows its records past it as it goes.
+const MAX_RESERVED_JOBS: usize = 1 << 17;
+
+/// Upper bounds on the jobs and sub-jobs a run over `horizon` records,
+/// each capped at [`MAX_RESERVED_JOBS`] jobs' worth.
+///
+/// Task `i` releases at time zero and then at least a period apart, and
+/// only before the horizon, so it releases at most `⌈H / T_i⌉` jobs:
+/// exactly that many under periodic releases, an upper bound under
+/// sporadic ones. A local job logs one sub-job; an offloaded job logs
+/// its setup and then either its post-processing or its compensation.
+fn record_bounds(tasks: &[OdmTask], modes: &[Mode], horizon: Duration) -> (usize, usize) {
+    let (mut jobs, mut subjobs) = (0usize, 0usize);
+    for (task, mode) in tasks.iter().zip(modes) {
+        // Periods are validated nonzero; `max(1)` keeps the division total.
+        let released = horizon
+            .as_ns()
+            .div_ceil(task.task().period().as_ns().max(1));
+        let released = usize::try_from(released).unwrap_or(usize::MAX);
+        let per_job = match mode {
+            Mode::Local => 1,
+            Mode::Offload { .. } => 2,
+        };
+        jobs = jobs.saturating_add(released);
+        subjobs = subjobs.saturating_add(released.saturating_mul(per_job));
+    }
+    (
+        jobs.min(MAX_RESERVED_JOBS),
+        subjobs.min(2 * MAX_RESERVED_JOBS),
+    )
 }
 
 /// Ready-queue entry ordered by (policy priority key, release sequence).
@@ -1404,6 +1445,41 @@ mod tests {
             serde_json::to_string(&run()).unwrap(),
             "identical configurations produced diverging runs"
         );
+    }
+
+    /// The reservation bound is the release count itself under periodic
+    /// releases, and an upper bound under sporadic ones.
+    #[test]
+    fn record_bounds_match_periodic_and_bound_sporadic_releases() {
+        let t1 = offloadable_task(0, 60, 5, 60, 400);
+        let t2 = offloadable_task(1, 80, 5, 80, 300);
+        let g1 = BenefitFunction::from_ms_points(&[(0.0, 1.0), (150.0, 5.0)]).unwrap();
+        let g2 = BenefitFunction::from_ms_points(&[(0.0, 2.0), (200.0, 8.0)]).unwrap();
+        let (tasks, plan) = plan_for(vec![OdmTask::new(t1, g1), OdmTask::new(t2, g2)]);
+        let jitter = ReleasePolicy::SporadicJitter { max_extra: ms(150) };
+        // Horizons on, just past and between release instants.
+        for horizon_ms in [1, 299, 300, 301, 1_200, 1_201, 5_000, 5_999] {
+            for release in [ReleasePolicy::Periodic, jitter] {
+                let sim = Simulation::build(tasks.clone(), plan.clone())
+                    .unwrap()
+                    .with_server(Box::new(Scenario::NotBusy.build_server(3).unwrap()));
+                let (jobs, subjobs) = record_bounds(&sim.tasks, &sim.modes, ms(horizon_ms));
+                let report = sim
+                    .run(SimConfig::new(ms(horizon_ms), 9).with_release(release))
+                    .unwrap();
+                let at = format!("{horizon_ms} ms, {release:?}");
+                if release == ReleasePolicy::Periodic {
+                    assert_eq!(report.jobs.len(), jobs, "{at}");
+                } else {
+                    assert!(report.jobs.len() <= jobs, "{at}");
+                }
+                assert!(report.subjobs.len() <= subjobs, "{at}");
+            }
+        }
+        // An absurd horizon reserves no more than the cap.
+        let sim = Simulation::build(tasks, plan).unwrap();
+        let (jobs, subjobs) = record_bounds(&sim.tasks, &sim.modes, Duration::MAX);
+        assert_eq!((jobs, subjobs), (MAX_RESERVED_JOBS, 2 * MAX_RESERVED_JOBS));
     }
 
     #[test]

@@ -157,7 +157,10 @@ impl Summary {
             return None;
         }
         let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp); // NaN excluded above
+        // NaN excluded above. Values equal under `total_cmp` have equal
+        // bits, so the unstable sort's order is the stable one's, without
+        // its scratch buffer.
+        sorted.sort_unstable_by(f64::total_cmp);
         let mut acc = OnlineStats::new();
         for &x in samples {
             acc.push(x);

@@ -87,13 +87,28 @@ else
   echo "==> skipping miri (nightly miri component not installed; CI runs it)"
 fi
 
+# The host-timed bench gates below do not stop the script: each failure
+# is recorded and the next gate still runs, so bench trend always runs
+# last. The script then exits non-zero naming every failed gate. No
+# gate is skipped or loosened by this; every step above still stops the
+# script at once.
+failed_gates=()
+gate() { # gate NAME COMMAND... (stdin passes through to COMMAND)
+  local name=$1
+  shift
+  if ! "$@"; then
+    echo "!!! gate failed: $name" >&2
+    failed_gates+=("$name")
+  fi
+}
+
 echo "==> sweep_bench: serial vs --jobs 4, identical-rows cross-check"
-cargo run --release -p rto-bench --offline -q --bin sweep_bench -- --jobs 4 --out BENCH_sweep.json
+gate "sweep_bench" cargo run --release -p rto-bench --offline -q --bin sweep_bench -- --jobs 4 --out BENCH_sweep.json
 # The >=2x speedup gate only means something with real cores under it;
 # single-core machines still get the identical-rows check above (the
 # CI `exp` job always asserts the gate on its 4-core runners).
 if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
-  python3 - <<'EOF'
+  gate "sweep_bench speedup" python3 - <<'EOF'
 import json
 b = json.load(open("BENCH_sweep.json"))
 assert b["identical"] is True, b
@@ -106,8 +121,8 @@ else
 fi
 
 echo "==> obs_bench: overhead budget (0 hot-path allocs, <=2x committed baseline)"
-cargo run --release -p rto-bench --offline -q --bin obs_bench -- --out BENCH_obs.json
-python3 - <<'EOF'
+gate "obs_bench" cargo run --release -p rto-bench --offline -q --bin obs_bench -- --out BENCH_obs.json
+gate "obs_bench budget" python3 - <<'EOF'
 import json
 b = json.load(open("BENCH_obs.json"))
 base = json.load(open("results/BENCH_obs_baseline.json"))
@@ -124,8 +139,8 @@ echo "==> sim_bench: event-engine throughput (>=10x at 100k, <=1% hold allocs, e
 # holds allocate on more than 1% of operations, if two identical
 # engine runs diverge, or if the engine at 10^4 tasks runs below 0.25x
 # its 10^2-task jobs/s.
-cargo run --release -p rto-bench --offline -q --bin sim_bench -- --out BENCH_sim.json
-python3 - <<'EOF'
+gate "sim_bench" cargo run --release -p rto-bench --offline -q --bin sim_bench -- --out BENCH_sim.json
+gate "sim_bench baseline" python3 - <<'EOF'
 import json
 b = json.load(open("BENCH_sim.json"))
 base = json.load(open("results/BENCH_sim_baseline.json"))
@@ -137,6 +152,10 @@ assert ratio <= 2.0, f"calendar hold regressed {ratio:.2f}x > 2x vs committed ba
 EOF
 
 echo "==> bench trend (fresh BENCH_*.json vs committed baselines; fails on missing/malformed records)"
-python3 scripts/bench_trend
+gate "bench_trend" python3 scripts/bench_trend
 
+if [ ${#failed_gates[@]} -gt 0 ]; then
+  echo "==> FAILED bench gates: ${failed_gates[*]}" >&2
+  exit 1
+fi
 echo "==> all checks passed"

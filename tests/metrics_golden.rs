@@ -12,6 +12,11 @@
 //!   histogram bucket;
 //! * the merge of all six trials' shards, the fold a sweep performs.
 //!
+//! The same trial body also runs through `rto_exp::run_matrix_observed`,
+//! whose workers record every trial into one registry each, cleared
+//! between trials: there the trials' reports and the merged shard are
+//! pinned at one and two jobs.
+//!
 //! A change that only makes metrics cheaper must leave every value
 //! alone.
 
@@ -23,6 +28,7 @@ use rto::server::network::NetworkModel;
 use rto::server::Scenario;
 use rto::sim::prelude::*;
 use rto::workloads::case_study::{case_study_system, shape_request};
+use rto_exp::{run_matrix_observed, ExpOptions, MatrixSpec};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -43,11 +49,11 @@ fn planned() -> (OffloadingDecisionManager, OffloadingPlan) {
     (odm, plan)
 }
 
-/// One observed 10 s trial at background utilization `util`: the
-/// goldens of its report and of its registry's shard, and the shard.
-fn trial(util: f64, seed: u64) -> ((usize, u64), (usize, u64), MetricsShard) {
+/// The trial body: the case study simulated for `seconds` at background
+/// utilization `util`, with the server and the simulation recording into
+/// `obs`.
+fn simulate(util: f64, seed: u64, seconds: u64, obs: &Obs) -> SimReport {
     let (odm, plan) = planned();
-    let obs = Obs::disabled();
     // Background jobs keep the presets' 45 ms mean service time; the
     // arrival rate backs out of the target utilization.
     let rate = util * Scenario::NUM_BOARDS as f64 / 0.045;
@@ -67,9 +73,17 @@ fn trial(util: f64, seed: u64) -> ((usize, u64), (usize, u64), MetricsShard) {
         .with_obs(obs.clone())
         .with_server(Box::new(server))
         .with_request_shaper(Box::new(shape_request))
-        .run(SimConfig::for_seconds(10, seed))
+        .run(SimConfig::for_seconds(seconds, seed))
         .expect("valid config");
     assert_eq!(report.total_deadline_misses(), 0, "feasible plan missed");
+    report
+}
+
+/// One observed 10 s trial at background utilization `util`: the
+/// goldens of its report and of its registry's shard, and the shard.
+fn trial(util: f64, seed: u64) -> ((usize, u64), (usize, u64), MetricsShard) {
+    let obs = Obs::disabled();
+    let report = simulate(util, seed, 10, &obs);
     let json = serde_json::to_string(&report).expect("report serializes");
     let shard = obs.metrics().shard();
     (
@@ -132,4 +146,40 @@ fn merged_shard_of_all_trials() {
         golden(merged.to_json().as_bytes()),
         (3_012, 0x516cbc0bac4e3274)
     );
+}
+
+/// The load grid through the experiment engine: 13 utilizations 0.0–1.2
+/// × 2 seeds, 2 s each. Each trial's report embeds its registry's
+/// snapshot, so a registry that carried anything from an earlier trial
+/// would move its bytes, at one job or at two.
+#[test]
+fn observed_matrix_of_the_load_grid() {
+    let spec = MatrixSpec {
+        name: "metrics-golden".to_owned(),
+        fingerprint: "case-study-2s".to_owned(),
+        base_seed: 2014,
+        point_keys: (0..=12).map(|k| format!("util=0.{k:02}")).collect(),
+        trials_per_point: 2,
+    };
+    for jobs in [1, 2] {
+        let opts = ExpOptions {
+            jobs,
+            ..ExpOptions::default()
+        };
+        let run = run_matrix_observed(&spec, &opts, |ctx, obs| {
+            let report = simulate(ctx.point as f64 / 10.0, ctx.seed, 2, obs);
+            serde_json::to_string(&report).expect("report serializes")
+        });
+        let mut text = String::new();
+        for report in run.points.iter().flatten() {
+            text.push_str(report);
+            text.push('\n');
+        }
+        text.push_str(&run.shard.to_json());
+        assert_eq!(
+            golden(text.as_bytes()),
+            (133_556, 0xc23a_3ad9_3833_92b7),
+            "jobs {jobs}"
+        );
+    }
 }
