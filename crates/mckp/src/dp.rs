@@ -21,11 +21,23 @@
 //! of a window `W_k` that an optimal plan can still pass through (below),
 //! with one pass per item, so the time is `O(Σ_k |R_k| × items_k)`, never
 //! more than `O(Σ_k |W_k| × items_k)` or `O(total_items × resolution)`.
-//! Memory is two `f64` rows of `top + 1` budgets (`top` below), reused
-//! across classes, a choice table of `Σ_k |W_k|` × 4 B — one `u32` item
-//! index per windowed budget, for the reconstruction — and, when the rows
-//! are wide enough to pay for it, the LP bound: a few words per hull step
-//! and per class. On Figure-3 systems the windows hold 22 % of the
+//! A pass is a max-plus update, `cell = max(cell, base + profit)`, that
+//! writes no choice and takes no branch, so it compiles to packed SSE2
+//! adds and maxes on the baseline x86-64 target.
+//!
+//! A row is computed into one scratch row as long as the widest window.
+//! Only its band `lo_k ..= hi_k` (below), what the next row and the
+//! reconstruction read, is kept, appended to one `f64` table; the
+//! reconstruction recomputes each class's pick from it (see Ties). Memory
+//! is `Σ_k |band_k|` × 8 B plus 8 B per budget of the widest window, and,
+//! when the rows are wide enough to pay for it, the LP bound: a few words
+//! per hull step and per class. A kernel that kept two `f64` rows of
+//! `top + 1` budgets and one `u32` choice per windowed budget needed
+//! `Σ_k |W_k|` × 4 B + 16 × (`top` + 1) B instead. A band never exceeds
+//! its window, so the worst case, where every band is its whole window,
+//! is `8 × (Σ_k |W_k| + max_k |W_k|)` B: close to twice that choice table
+//! when many classes have full-width windows, but never more than 8 B per
+//! computed cell. On Figure-3 systems the windows hold 22 % of the
 //! item × budget cells of full rows, and the bound computes 51 % of the
 //! windows' cells. A 1000-class fleet whose heaviest items sum to less
 //! than the capacity needs one budget per row and never builds the bound.
@@ -66,34 +78,37 @@
 //! After row `k` is computed on `R_k`, its band `lo_k ..= hi_k` runs from
 //! the first to the last budget `c` with
 //! `dp_k[c] + U_{k+1}(top − c) ≥ LB − 1e-9 · (1 + U_0(top))`, or is all of
-//! `R_k` when no budget passes. Row `k + 1` is computed on
+//! `R_k` when no budget passes; the last row keeps all of `R_k`. Row
+//! `k + 1` is computed on
 //! `R_{k+1} = max(W_{k+1}.start, lo_k + lightest) ..= min(W_{k+1}.end, hi_k + heaviest)`
 //! of its class's scaled weights: bases below `lo_k` are skipped as −∞,
 //! and bases above `hi_k` read `dp_k[hi_k]`, which is the windows' flat
 //! part when `hi_k` is the window's top. The reconstruction clamps its
 //! budget to each row's `hi_k`. The first row's "previous band" is budget
-//! 0 of the all-zero row.
+//! 0 of the all-zero row, the table's first cell.
 //!
 //! **Why it is exact.** Take the full-row DP's reconstruction path,
 //! clamped to the window tops, through budgets `b_k`. Its items after row
 //! `k` fit `top − b_k`, so `dp_k[b_k] + U_{k+1}(top − b_k) ≥ OPT ≥ LB`, and
 //! every path cell is kept. Every computed value is at most the full
 //! row's, because each candidate base is exact, −∞, or a flat read of a
-//! non-decreasing row. By induction each path cell's winning base is the
-//! previous path cell, read exactly: earlier items stay strictly worse,
-//! and later items cannot replace the winner under the strict `>`. So
-//! each path cell gets the full DP's value and item, and the clamp to
-//! `hi_k` is a no-op on the path. The margin `1e-9 · (1 + U_0(top))` is
-//! orders of magnitude above the float error of the sums involved, and
-//! every capacity `U` is read at carries `1e-9 · (1 + top)` grid units of
-//! slack for the error of its grid-weight sums.
+//! non-decreasing row. By induction each path cell's value is the full
+//! DP's and its first best candidate, the full DP's item, reads the
+//! previous path cell exactly: earlier items stay strictly worse than
+//! the full row's value, and no candidate exceeds it. The reconstruction
+//! picks that first best candidate (Ties), so it walks the full DP's
+//! path, and the clamp to `hi_k` is a no-op on it. The margin
+//! `1e-9 · (1 + U_0(top))` is orders of magnitude above the float error
+//! of the sums involved, and every capacity `U` is read at carries
+//! `1e-9 · (1 + top)` grid units of slack for the error of its
+//! grid-weight sums.
 //!
 //! **Why nothing can go out of range,** whatever the bound reads: a kept
 //! budget has a finite `U`, so it lies at most `top` minus the later
 //! classes' lightest weights, and `R_{k+1}` is never empty; every budget
-//! of `R_k` has a finite value through its lightest item; and every
-//! choice reads a base at or above the previous band's bottom, so the
-//! reconstruction stays on computed cells.
+//! of `R_k` has a finite value through its lightest item, which reaches
+//! all of `R_k`; and every pick reads a base at or above the previous
+//! band's bottom, so the reconstruction stays on kept cells.
 //!
 //! **Cost of the bound.** The band is found by scanning in from both ends
 //! of `R_k` in blocks: a block `a..=b` goes when `dp_k[b] + U(top − a)`
@@ -111,14 +126,23 @@
 //!
 //! # Ties
 //!
-//! Among equally profitable choices at one budget, the DP keeps the first
-//! strictly better item in the class's pruned (weight-ascending) order.
-//! The passes run item-major — every budget for item 0, then every budget
-//! for item 1 — so each budget still sees its class's items in that
-//! order, and a later item replaces an earlier one only when it is
-//! strictly better. Every budget therefore ends with the item a
-//! budget-major scan (for each budget, every item) would keep;
-//! `tests/dp_oracle.rs` checks the two against each other.
+//! Among equally profitable choices at one budget, the DP picks the first
+//! item in the class's pruned (weight-ascending) order: the item a
+//! budget-major scan (for each budget, every item) keeps when it replaces
+//! its choice only on a strictly better one. `tests/dp_oracle.rs` keeps
+//! such a scan and checks the two against each other.
+//!
+//! The kernel stores values only, so ties are settled in the
+//! reconstruction. At each row it takes the path budget, clamped to the
+//! band's top, and recomputes the class's candidates there in pruned
+//! order: an item whose base lies below the previous band is skipped, as
+//! the kernel skips it, and any other reads the previous band at
+//! `budget − sw`, or its top cell above it. Each candidate is the sum the
+//! kernel formed from the same two `f64` operands, so it has the same
+//! bits. The row's value is the largest of them, so a candidate reaches
+//! it (`≥`) exactly when it equals it, and the first that does is the one
+//! the strict scan keeps. Ties cost `items_k` short steps per row at the
+//! end, not a compare and a store per cell.
 
 use crate::error::SolveError;
 use crate::instance::MckpInstance;
@@ -138,7 +162,7 @@ impl DpSolver {
 
     /// Creates a solver with the given weight-grid resolution.
     ///
-    /// A resolution whose table cannot be allocated is not rejected here;
+    /// A resolution whose rows cannot be allocated is not rejected here;
     /// [`Solver::solve`] returns [`SolveError::TooLarge`] for it.
     ///
     /// # Panics
@@ -174,14 +198,18 @@ impl DpSolver {
         if capacity <= 0.0 || weight > capacity {
             return None;
         }
-        // Clamp before the cast: the guards above pin the ratio into
-        // (0, 1], but the interval checker (A4) reasons per-variable. The
-        // bound is 2^53, the end of the exactly representable integers; a
-        // grid that wide could never be allocated, so it never binds.
-        let scaled = self
-            .grid(weight, capacity)
-            .ceil()
-            .clamp(0.0, 9_007_199_254_740_992.0) as usize;
+        // A grid of 2^64 units or more fits no resolution. Below it every
+        // f64 of 2^53 or more is an integer, so the cast is exact: rows
+        // are computed only on windows, so a resolution above 2^53 can be
+        // solved, and rounding its weights down to 2^53 would return
+        // selections that overfill the capacity. The clamp, to the
+        // largest f64 below 2^64, never binds; it is there because the
+        // interval checker (A4) reasons per variable.
+        let grid = self.grid(weight, capacity).ceil();
+        if grid >= 18_446_744_073_709_551_616.0 {
+            return None;
+        }
+        let scaled = grid.clamp(0.0, 18_446_744_073_709_549_568.0) as usize;
         (scaled <= self.resolution).then_some(scaled)
     }
 
@@ -229,12 +257,9 @@ fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
     Some(v)
 }
 
-/// The budgets `start..=end` of one DP row's window; its choices are
-/// `table[offset..]`, one per budget. Once the row is computed, `end` is
-/// the top of the band it keeps, where the reconstruction clamps.
+/// The budgets `start..=end` of one DP row's window.
 #[derive(Debug, Clone, Copy)]
 struct Window {
-    offset: usize,
     start: usize,
     end: usize,
 }
@@ -245,11 +270,48 @@ impl Window {
     }
 }
 
+/// The budgets `lo..=hi` a computed row keeps, its values at
+/// `table[offset..]`, one per budget. Above `hi` the row is taken flat.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    offset: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Band {
+    /// The kept values, `lo` first.
+    fn values<'t>(&self, table: &'t [f64]) -> &'t [f64] {
+        &table[self.offset..=self.offset + (self.hi - self.lo)]
+    }
+}
+
+/// The pick of `class` at `budget`, in the row kept as `band` over the
+/// row kept as `prev`: the first item, in pruned order, whose candidate
+/// there reaches the row's value (module docs, Ties), as (item index,
+/// scaled weight). An item whose base lies below `prev` is skipped, as
+/// the kernel skips it; above `prev` the base is its top cell. `None`
+/// when no item reaches the value, which a sound kernel never leaves.
+fn first_reaching(
+    class: &[(usize, usize, f64)],
+    table: &[f64],
+    prev: Band,
+    band: Band,
+    budget: usize,
+) -> Option<(usize, usize)> {
+    let value = *band.values(table).get(budget.checked_sub(band.lo)?)?;
+    let base = prev.values(table);
+    let reaches = |&&(_, sw, profit): &&(usize, usize, f64)| {
+        budget >= prev.lo.saturating_add(sw)
+            && base[(budget - sw).min(prev.hi) - prev.lo] + profit >= value
+    };
+    class.iter().find(reaches).map(|&(item, sw, _)| (item, sw))
+}
+
 /// Each class's row window `max(L_k, top − S_{k+1}) ..= min(res, H_k)`
-/// (see the module docs), laid out one after another in the table, or
-/// `Infeasible` when some class has no item that fits or the lightest
-/// selection outweighs the grid: the full-row DP's condition for a
-/// last cell of −∞.
+/// (see the module docs), or `Infeasible` when some class has no item
+/// that fits or the lightest selection outweighs the grid: the full-row
+/// DP's condition for a last cell of −∞.
 fn windows(items: &[Items], res: usize) -> Result<Vec<Window>, SolveError> {
     let (mut light, mut heavy) = (0usize, 0usize);
     let windows: Result<Vec<Window>, SolveError> = items
@@ -261,7 +323,6 @@ fn windows(items: &[Items], res: usize) -> Result<Vec<Window>, SolveError> {
             light = light.saturating_add(lo);
             heavy = heavy.saturating_add(hi);
             Ok(Window {
-                offset: 0,
                 start: light,
                 end: heavy.min(res),
             })
@@ -276,11 +337,6 @@ fn windows(items: &[Items], res: usize) -> Result<Vec<Window>, SolveError> {
     for (w, class) in windows.iter_mut().zip(items).rev() {
         w.start = w.start.max(floor);
         floor = floor.saturating_sub(class.last().map_or(0, |&(_, hi, _)| hi));
-    }
-    let mut offset = 0usize;
-    for w in &mut windows {
-        w.offset = offset;
-        offset = offset.saturating_add(w.len());
     }
     Ok(windows)
 }
@@ -568,9 +624,10 @@ impl Bound {
         self.lower - MARGIN * (1.0 + self.upper)
     }
 
-    /// The band `lo..=hi` of row `k`, computed on `start..=end`, that row
-    /// `k + 1` reads: from the first to the last budget whose bound
-    /// reaches the floor, or the whole row when none does.
+    /// The band `lo..=hi` of row `k`, computed on `start..=end` and held
+    /// in `row` from `start` on, that row `k + 1` reads: from the first to
+    /// the last budget whose bound reaches the floor, or the whole row
+    /// when none does.
     fn band(
         &mut self,
         k: usize,
@@ -599,7 +656,7 @@ impl Bound {
         // halve when they do not, so a scan reads `U` a few times per power
         // of two it skips and stops where a budget-by-budget scan would.
         let reaches = |cursor: &mut Cursor, a: usize, b: usize| {
-            row[b] + lp.at(*live, cursor, top.saturating_sub(a)) >= floor
+            row[b - start] + lp.at(*live, cursor, top.saturating_sub(a)) >= floor
         };
         let (mut lo, mut span) = (start, 1usize);
         while lo <= end {
@@ -638,38 +695,45 @@ impl Solver for DpSolver {
         let res = self.resolution;
         let classes = instance.classes();
         let too_large = || {
-            // analyze: allow(A7): error path only, formatted once when the table cannot be sized or indexed
+            // analyze: allow(A7): error path only, formatted once when a row or the band table cannot be sized
             SolveError::TooLarge(format!(
-                "dp choice table of {} x ({res} + 1) cells",
+                "dp rows for {} classes at resolution {res}",
                 classes.len()
             ))
         };
+        // Never returned on a sound kernel: see the module docs.
+        let broken = || SolveError::bad("dp: a kept row value has no item that reaches it");
         res.checked_add(1).ok_or_else(too_large)?;
 
         let items = self.scaled_items(instance);
-        let mut windows = windows(&items, res)?;
+        let windows = windows(&items, res)?;
         // The full budget, clamped to the heaviest selection: no row is
         // computed or read above it.
         let top = windows.last().map_or(0, |w| w.end);
 
-        // dp[c] = max profit over the processed classes with scaled weight
-        // <= c, valid on the last row's band and, above it, taken equal to
-        // its top cell. Before any class, every budget holds profit 0: the
-        // band is budget 0 and the row is flat above it. Rows that could
-        // be allocated hold fewer than 2^60 budgets, so a sum of two
-        // budgets below cannot overflow.
-        const NEG: f64 = f64::NEG_INFINITY;
-        let width = top.checked_add(1).ok_or_else(too_large)?;
-        let mut dp: Vec<f64> = filled(width, 0.0).ok_or_else(too_large)?;
-        let mut next: Vec<f64> = filled(width, NEG).ok_or_else(too_large)?;
-
-        let cells = windows
-            .last()
-            .map_or(0, |w| w.offset.saturating_add(w.len()));
-        // The windows, concatenated: the index (into items[k]) of the item
-        // class k takes at each budget of its window. Every computed budget
-        // is reachable, so no u32::MAX survives where a row was computed.
-        let mut table: Vec<u32> = filled(cells, u32::MAX).ok_or_else(too_large)?;
+        // row[c − start] = max profit of the classes so far at budget c,
+        // on the budgets start..=end the current row is computed on.
+        let widest = windows.iter().map(Window::len).max().unwrap_or(0);
+        let mut row: Vec<f64> = Vec::new();
+        row.try_reserve_exact(widest).map_err(|_| too_large())?;
+        // The kept bands of the computed rows, one after another, after
+        // the zero row every selection starts from: budget 0 at profit 0,
+        // flat above it. Every band keeps at least one budget, so one
+        // cell per row is reserved up front: single-budget rows never
+        // grow the table, and it never holds more than it ends up using.
+        let mut table: Vec<f64> = Vec::new();
+        let kept_rows = classes.len().checked_add(1).ok_or_else(too_large)?;
+        table
+            .try_reserve_exact(kept_rows)
+            .map_err(|_| too_large())?;
+        table.push(0.0);
+        let mut prev = Band {
+            offset: 0,
+            lo: 0,
+            hi: 0,
+        };
+        let mut bands: Vec<Band> = Vec::with_capacity(kept_rows);
+        bands.push(prev);
 
         // Item × budget cells of the windows not yet computed, which
         // decides when the bound pays for itself.
@@ -688,81 +752,94 @@ impl Solver for DpSolver {
         // analyze: allow(A7): reconstruction buffer built once per solve
         let mut picks = vec![0usize; classes.len()];
 
-        // The previous row's band: budget 0, flat above it.
-        let (mut lo, mut hi) = (0usize, 0usize);
         let last = windows.len().saturating_sub(1);
-        for (k, (w, class)) in windows.iter_mut().zip(&items).enumerate() {
-            let len = u32::try_from(class.len()).map_err(|_| too_large())?;
-            let light = class.first().map_or(0, |t| t.1);
-            let heavy = class.last().map_or(0, |t| t.1);
+        for (k, (w, class)) in windows.iter().zip(&items).enumerate() {
+            // `windows` returns `Infeasible` for a class with no item.
+            let (Some(&(_, light, first)), Some(&(_, heavy, _))) = (class.first(), class.last())
+            else {
+                return Err(SolveError::Infeasible);
+            };
+            let base = prev.values(&table);
             // The budgets the band can reach: never empty (module docs).
-            let (start, end) = (w.start.max(lo + light), w.end.min(hi + heavy));
-            let choice = &mut table[w.offset..w.offset + w.len()];
-            // `next` still holds the row two classes back; only this
-            // row's budgets are read or written.
-            if start <= end {
-                next[start..=end].fill(NEG);
+            // Budget sums saturate, and a saturated sum lies above every
+            // budget, as the true sum does.
+            let (start, end) = (
+                w.start.max(prev.lo.saturating_add(light)),
+                w.end.min(prev.hi.saturating_add(heavy)),
+            );
+            if start > end {
+                return Err(broken());
             }
             // Above its band the previous row is taken flat at its top.
-            let flat = dp[hi];
-            for (pi, &(_, sw, profit)) in (0..len).zip(class) {
-                // next[c] = max(next[c], dp[c - sw] + profit), keeping the
-                // first strictly better item. Bases below the band are
-                // skipped (-inf, never winning); bases above it read the
-                // flat value.
-                let (from, to) = (start.max(lo + sw), end.min(hi + sw));
+            let flat = base[prev.hi - prev.lo];
+            // The lightest item reaches every budget, through the band up
+            // to `prev.hi + light` and flat above it, so its pass writes
+            // the row and no −∞ fill is needed.
+            let to = end.min(prev.hi.saturating_add(light));
+            row.clear();
+            if start <= to {
+                let from = start - light - prev.lo;
+                row.extend(base[from..=to - light - prev.lo].iter().map(|&b| b + first));
+            }
+            row.resize(end - start + 1, flat + first);
+            for &(_, sw, profit) in &class[1..] {
+                // row[c] = max(row[c], base[c − sw] + profit), the earlier
+                // value kept on a tie. Bases below the band are skipped
+                // (−∞, never winning); bases above it read the flat value.
+                let from = start.max(prev.lo.saturating_add(sw));
+                let to = end.min(prev.hi.saturating_add(sw));
                 if from <= to {
-                    for ((cell, ch), &base) in next[from..=to]
-                        .iter_mut()
-                        .zip(&mut choice[from - w.start..=to - w.start])
-                        .zip(&dp[from - sw..=to - sw])
-                    {
-                        let value = base + profit;
-                        if value > *cell {
-                            *cell = value;
-                            *ch = pi;
-                        }
+                    let bases = &base[from - sw - prev.lo..=to - sw - prev.lo];
+                    for (cell, &b) in row[from - start..=to - start].iter_mut().zip(bases) {
+                        let value = b + profit;
+                        // A select, which LLVM turns into `maxpd`;
+                        // `f64::max` also orders NaN and compiles to more.
+                        *cell = if value > *cell { value } else { *cell };
                     }
                 }
-                let from = start.max(hi + sw + 1);
+                let from = start.max(prev.hi.saturating_add(sw).saturating_add(1));
                 if from <= end {
                     let value = flat + profit;
-                    for (cell, ch) in next[from..=end]
-                        .iter_mut()
-                        .zip(&mut choice[from - w.start..])
-                    {
-                        if value > *cell {
-                            *cell = value;
-                            *ch = pi;
-                        }
+                    for cell in &mut row[from - start..] {
+                        *cell = if value > *cell { value } else { *cell };
                     }
                 }
             }
-            std::mem::swap(&mut dp, &mut next);
             ahead = ahead.saturating_sub(w.len().saturating_mul(class.len()));
             if k < last && !tried && ahead >= pays {
                 tried = true;
                 bound = Bound::new(self, instance, &items, top, &mut picks);
             }
-            (lo, hi) = match bound.as_mut() {
-                Some(b) if k < last => b.band(k, &dp, start, end, top),
+            let (lo, hi) = match bound.as_mut() {
+                Some(b) if k < last => b.band(k, &row, start, end, top),
                 _ => (start, end),
             };
-            w.end = hi;
+            let kept = &row[lo - start..=hi - start];
+            table
+                .try_reserve_exact(kept.len())
+                .map_err(|_| too_large())?;
+            prev = Band {
+                offset: table.len(),
+                lo,
+                hi,
+            };
+            table.extend_from_slice(kept);
+            bands.push(prev);
         }
 
         // Reconstruct backwards from the full budget. Each row is taken
-        // flat above its band, so the budget is clamped to the band's top;
-        // the item there was read from a base at or above the previous
-        // band's bottom, so the budget never leaves the computed rows.
+        // flat above its band, so the budget is clamped to the band's top.
+        // The pick is the first item whose candidate there reaches the
+        // row's value (module docs, Ties); its base is at or above the
+        // previous band's bottom, so the budget never leaves the bands.
         let mut budget = res;
-        for ((pick, w), class) in picks.iter_mut().zip(&windows).zip(&items).rev() {
-            budget = budget.min(w.end);
-            let pi = usize::try_from(table[w.offset + budget.saturating_sub(w.start)])
-                .map_err(|_| too_large())?;
-            let (item_idx, sw, _) = class[pi];
-            *pick = item_idx;
-            budget = budget.saturating_sub(sw);
+        let rows = picks.iter_mut().zip(&items).zip(bands.windows(2));
+        for ((pick, class), pair) in rows.rev() {
+            budget = budget.min(pair[1].hi);
+            let (item, sw) =
+                first_reaching(class, &table, pair[0], pair[1], budget).ok_or_else(broken)?;
+            *pick = item;
+            budget -= sw;
         }
 
         let selection = Selection::new(picks);
@@ -784,6 +861,14 @@ mod tests {
     fn solve(classes: Vec<Vec<Item>>, capacity: f64) -> Result<Selection, SolveError> {
         let inst = MckpInstance::new(classes, capacity).unwrap();
         DpSolver::default().solve(&inst)
+    }
+
+    /// The DP's choices for `classes` at capacity 1 on a grid of
+    /// `resolution` grid units.
+    fn choices_at(classes: Vec<Vec<Item>>, resolution: usize) -> Vec<usize> {
+        let inst = MckpInstance::new(classes, 1.0).unwrap();
+        let sel = DpSolver::with_resolution(resolution).solve(&inst).unwrap();
+        sel.choices().to_vec()
     }
 
     #[test]
@@ -922,21 +1007,128 @@ mod tests {
             .solve(&inst)
             .unwrap_err();
         assert!(matches!(err, SolveError::TooLarge(_)), "{err:?}");
-        // 2^62 + 1 budgets of 8 bytes overflow `isize`, so the request
-        // fails before any allocation.
+        // Two classes that can each take nothing or everything: the first
+        // row's window spans all 2^62 + 1 budgets, whose 8 bytes each
+        // overflow `isize`, so the scratch row fails before any
+        // allocation.
+        let class = vec![Item::new(0.0, 0.0), Item::new(1.0, 1.0)];
+        let inst = MckpInstance::new(vec![class.clone(), class], 1.0).unwrap();
         let err = DpSolver::with_resolution(1 << 62).solve(&inst).unwrap_err();
         match err {
             SolveError::TooLarge(msg) => {
-                assert!(msg.contains("1 x (4611686018427387904 + 1) cells"), "{msg}")
+                assert!(
+                    msg.contains("2 classes at resolution 4611686018427387904"),
+                    "{msg}"
+                )
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    /// Rows are computed only on their windows, so one class at a
+    /// resolution of 2^62 needs one budget, and its weight is scaled
+    /// exactly, not cut down to 2^53 grid units.
+    #[test]
+    fn a_single_budget_row_solves_at_any_resolution() {
+        let inst = MckpInstance::new(vec![vec![Item::new(0.5, 1.0)]], 1.0).unwrap();
+        let solver = DpSolver::with_resolution(1 << 62);
+        assert_eq!(solver.scale(0.5, 1.0), Some(1 << 61));
+        assert_eq!(solver.solve(&inst).unwrap().choices(), &[0]);
+    }
+
+    /// At a resolution above 2^53 a weight scales above 2^53 grid units;
+    /// rounded down there, two items of 0.9 would fit the grid together.
+    #[test]
+    fn huge_resolutions_keep_the_capacity() {
+        let inst = MckpInstance::new(
+            vec![vec![Item::new(0.9, 1.0)], vec![Item::new(0.9, 1.0)]],
+            1.0,
+        )
+        .unwrap();
+        for resolution in [1 << 54, 1 << 62, usize::MAX - 1] {
+            let err = DpSolver::with_resolution(resolution).solve(&inst);
+            assert_eq!(err, Err(SolveError::Infeasible), "resolution {resolution}");
+        }
+    }
+
+    /// On a grid of 10, the second class's two items tie at the full
+    /// budget: nothing (0 units) on the first class's 10-unit item, worth
+    /// 2, or 5 units on its 5-unit item, worth 1 + 1. The first item in
+    /// pruned order wins.
+    #[test]
+    fn recomputed_pick_keeps_the_first_of_tied_candidates() {
+        let classes = vec![
+            vec![
+                Item::new(0.0, 0.0),
+                Item::new(0.5, 1.0),
+                Item::new(1.0, 2.0),
+            ],
+            vec![Item::new(0.0, 0.0), Item::new(0.5, 1.0)],
+        ];
+        assert_eq!(choices_at(classes, 10), [2, 0]);
+    }
+
+    /// On a grid of 10 the first row is kept on 0..=2 units, and the
+    /// second class's 5-unit item, the pick, reads it at 10 − 5 = 5: above
+    /// the band, so at its flat top (1 at 2 units).
+    #[test]
+    fn recomputed_pick_reads_above_the_previous_band() {
+        let classes = vec![
+            vec![Item::new(0.0, 0.0), Item::new(0.2, 1.0)],
+            vec![
+                Item::new(0.0, 0.0),
+                Item::new(0.5, 1.0),
+                Item::new(1.0, 1.5),
+            ],
+        ];
+        assert_eq!(choices_at(classes, 10), [1, 1]);
+    }
+
+    /// On a grid of 10 the first row is kept on 4..=5 units, so at the
+    /// full budget the second class's 8-unit item would read 2 units,
+    /// below the band: it is skipped, in the kernel and in the
+    /// reconstruction, and the 6-unit item reading 4 units is the pick.
+    #[test]
+    fn recomputed_pick_skips_bases_below_the_previous_band() {
+        let classes = vec![
+            vec![Item::new(0.3, 1.0), Item::new(0.5, 2.0)],
+            vec![
+                Item::new(0.0, 0.0),
+                Item::new(0.6, 5.0),
+                Item::new(0.8, 5.5),
+            ],
+        ];
+        assert_eq!(choices_at(classes, 10), [0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "resolution must be positive")]
     fn zero_resolution_panics() {
         DpSolver::with_resolution(0);
+    }
+
+    /// A kept value no item reaches is reported, not read past: at budget
+    /// 6 of a row kept on 5..=6 (values 1 and 2) over the zero row, the
+    /// weightless item reaches 0 and the 7-unit item's base lies below
+    /// the zero row's band, so it is skipped.
+    #[test]
+    fn unreached_row_value_is_none() {
+        let table = [0.0, 1.0, 2.0];
+        let zero = Band {
+            offset: 0,
+            lo: 0,
+            hi: 0,
+        };
+        let band = Band {
+            offset: 1,
+            lo: 5,
+            hi: 6,
+        };
+        let class = [(0, 0, 0.0), (1, 7, 0.0)];
+        assert_eq!(first_reaching(&class, &table, zero, band, 6), None);
+        assert_eq!(first_reaching(&class, &table, zero, band, 4), None);
+        let class = [(0, 0, 0.0), (1, 6, 2.0)];
+        assert_eq!(first_reaching(&class, &table, zero, band, 6), Some((1, 6)));
     }
 
     /// The bound's `LB` and `U_0(top)` for `inst` at `resolution`, with

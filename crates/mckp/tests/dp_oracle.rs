@@ -19,6 +19,10 @@
 //! Figure-3-shaped cases below give 20–60 classes the §6.2 item shape
 //! (a zero-profit local item and ten offload levels), where the bound
 //! is built and prunes.
+//!
+//! It stores row values only and recomputes each pick from them in the
+//! reconstruction, so every case below, the tie cases first, also checks
+//! that the recomputed pick is the item the oracle's strict scan keeps.
 
 use proptest::prelude::*;
 use rto_mckp::lp::dominance_filter;

@@ -229,7 +229,8 @@ impl SimReport {
 ///
 /// One pass counts and sums; it also counts each task's response times.
 /// A second pass then fills one buffer with them, each task's slice in
-/// job order, so the report needs two buffers, not one per task.
+/// job order, and each slice is summarized and sorted in place, so the
+/// report needs two buffers, not one per task.
 pub(crate) fn aggregate(
     task_ids: &[TaskId],
     benefits: &[(f64, f64)], // per task: (local value * weight, offload level value * weight)
@@ -317,7 +318,7 @@ pub(crate) fn aggregate(
     }
     let mut start = 0;
     for (stats, &end) in stats.iter_mut().zip(&ends) {
-        stats.response_time = response_ms.get(start..end).and_then(Summary::of);
+        stats.response_time = response_ms.get_mut(start..end).and_then(Summary::of_mut);
         start = end;
     }
     stats

@@ -153,28 +153,38 @@ impl Summary {
     ///
     /// Returns `None` for an empty batch or one containing NaN.
     pub fn of(samples: &[f64]) -> Option<Summary> {
+        Summary::of_mut(&mut samples.to_vec())
+    }
+
+    /// [`Summary::of`] without its copy: the mean and deviation are taken
+    /// over `samples` in the given order, then `samples` is sorted in
+    /// place for the quantiles.
+    ///
+    /// Returns `None`, leaving `samples` as it was, for an empty batch or
+    /// one containing NaN.
+    pub fn of_mut(samples: &mut [f64]) -> Option<Summary> {
         if samples.is_empty() || samples.iter().any(|x| x.is_nan()) {
             return None;
         }
-        let mut sorted = samples.to_vec();
+        let mut acc = OnlineStats::new();
+        for &x in samples.iter() {
+            acc.push(x);
+        }
         // NaN excluded above. Values equal under `total_cmp` have equal
         // bits, so the unstable sort's order is the stable one's, without
         // its scratch buffer.
-        sorted.sort_unstable_by(f64::total_cmp);
-        let mut acc = OnlineStats::new();
-        for &x in samples {
-            acc.push(x);
-        }
+        samples.sort_unstable_by(f64::total_cmp);
+        let sorted = &*samples;
         Some(Summary {
-            count: samples.len(),
+            count: sorted.len(),
             mean: acc.mean(),
             std_dev: acc.std_dev(),
             min: sorted[0],
-            q25: quantile_sorted(&sorted, 0.25),
-            median: quantile_sorted(&sorted, 0.5),
-            q75: quantile_sorted(&sorted, 0.75),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
+            q25: quantile_sorted(sorted, 0.25),
+            median: quantile_sorted(sorted, 0.5),
+            q75: quantile_sorted(sorted, 0.75),
+            p95: quantile_sorted(sorted, 0.95),
+            p99: quantile_sorted(sorted, 0.99),
             max: sorted[sorted.len() - 1],
         })
     }
@@ -416,6 +426,21 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!((s.median - 50.5).abs() < 1e-12);
         assert!(s.p95 > s.q75 && s.p99 > s.p95);
+    }
+
+    /// `of_mut` takes the mean in the given order, as `of` does, so the
+    /// two agree bit for bit, and it leaves the batch sorted.
+    #[test]
+    fn summary_of_mut_matches_of_and_sorts() {
+        let data: Vec<f64> = (0..97)
+            .map(|i| ((i * 37) % 97) as f64 / 7.0 + 0.1)
+            .collect();
+        let mut batch = data.clone();
+        assert_eq!(Summary::of_mut(&mut batch), Summary::of(&data));
+        assert!(batch.windows(2).all(|w| w[0] <= w[1]));
+        let mut nan = vec![2.0, f64::NAN, 1.0];
+        assert!(Summary::of_mut(&mut nan).is_none());
+        assert_eq!(nan[0], 2.0, "a rejected batch is left as it was");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Golden plans: the exact `serde_json` bytes of exact-DP offloading
 //! plans, pinned by length and FNV-1a hash.
 //!
-//! Three planning problems are covered:
+//! Four planning problems are covered:
 //!
 //! * the robot-vision case study under all 24 importance-weight
 //!   permutations (the Figure-2 work sets);
@@ -10,8 +10,8 @@
 //! * one 300-task §6.2 system with WCETs scaled down by 10x, so that a
 //!   300-class DP has real choices to make;
 //! * one 1000-task fleet of light tasks, where the DP's windows are
-//!   narrowest, at the default resolution and at 10⁵, where the LP bound
-//!   prunes the most.
+//!   narrowest, at the default resolution, at 10⁵, where the LP bound
+//!   prunes the most, and at 10⁶, where the DP's kept bands are widest.
 //!
 //! A change to the DP's answer, tie-breaking included, shows up here as
 //! a changed hash; a change that only makes the solver faster must leave
@@ -162,4 +162,15 @@ fn thousand_class_fleet_at_resolution_1e5() {
     assert!((value - 2781.9).abs() < 0.05, "plan value {value}");
     assert_eq!(level_counts(&plan), [1, 8, 409, 582], "levels 0/1/2/3");
     assert_golden(&[plan], 227_162, 0x9cd7_c522_139c_5ca0);
+}
+
+/// The same fleet on a grid of 10⁶, where the DP's kept bands are widest
+/// (4.4 M cells, against 0.47 M at 10⁴ and 1.28 M at 10⁵).
+#[test]
+fn thousand_class_fleet_at_resolution_1e6() {
+    let plan = dp_plan_at(fleet_tasks(1000, &mut Rng::seed_from(2014)), 1_000_000);
+    let value = plan.total_benefit();
+    assert!((value - 2794.232).abs() < 0.05, "plan value {value}");
+    assert_eq!(level_counts(&plan), [1, 7, 370, 622], "levels 0/1/2/3");
+    assert_golden(&[plan], 227_170, 0xb3dc_931e_d61b_709c);
 }
