@@ -1,7 +1,8 @@
 //! A7 — hot-path allocation analysis.
 //!
-//! The static twin of the `obs_bench` counting-allocator gate: hot
-//! regions are marked in source with an attribute comment,
+//! The static twin of the counting-allocator test
+//! (`crates/bench/tests/alloc_budget.rs`): hot regions are marked in
+//! source with an attribute comment,
 //!
 //! ```text
 //! // analyze: hot-path

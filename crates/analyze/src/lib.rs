@@ -32,8 +32,8 @@
 //!   the replay-critical crates, with witness chains.
 //! * **A7 — hot-path allocation** ([`hotpath`]): forward reachability
 //!   from `// analyze: hot-path` annotated functions to allocating
-//!   constructs — the static twin of the `obs_bench` counting-allocator
-//!   gate.
+//!   constructs — the static twin of the counting-allocator test
+//!   `crates/bench/tests/alloc_budget.rs`.
 //! * **A8 — termination & loop bounds** ([`termination`]): every loop
 //!   in the engine/solver core must carry a trip-count bound or a
 //!   monotone progress witness, recursion needs a decreasing argument,

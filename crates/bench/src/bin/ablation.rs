@@ -5,16 +5,13 @@
 //! [--cache]`
 
 use rto_bench::ablation::{acceptance_sweep_with, solver_gaps_with, split_policy_sweep_with};
-use rto_bench::opts::{exp_options_from_args, first_positional};
+use rto_bench::opts::ABLATION;
 use rto_bench::report::text_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = first_positional(&args)
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(2014);
-    let opts = exp_options_from_args(&args)?;
+    let args = ABLATION.parse(std::env::args().skip(1))?;
+    let seed = args.seed.unwrap_or(2014);
+    let opts = args.exp_options()?;
 
     eprintln!("ablation: acceptance sweeps (200 systems/point) + solver gaps, seed {seed}");
 

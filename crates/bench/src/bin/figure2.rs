@@ -5,18 +5,15 @@
 //! [--jobs N] [--cache]`
 
 use rto_bench::figure2::{run_with, scenario_means};
-use rto_bench::opts::{exp_options_from_args, first_positional};
+use rto_bench::opts::FIGURE2;
 use rto_bench::report::{text_table, write_json_lines};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let seed: u64 = first_positional(&args)
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(2014);
+    let args = FIGURE2.parse(std::env::args().skip(1))?;
+    let json = args.switch("--json");
+    let seed = args.seed.unwrap_or(2014);
 
-    let opts = exp_options_from_args(&args)?;
+    let opts = args.exp_options()?;
     eprintln!("figure2: case study, 24 work sets x 3 scenarios, 10 s horizon, seed {seed}");
     let rows = run_with(seed, 10, &opts)?;
 

@@ -5,30 +5,21 @@
 //! [--json] [--jobs N] [--cache]`
 
 use rto_bench::figure3::{paper_ratios, run_with_opts};
-use rto_bench::opts::{exp_options_from_args, first_positional};
+use rto_bench::opts::FIGURE3;
 use rto_bench::report::{text_table, write_json_lines};
 use rto_workloads::random::RandomSystemParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let seed: u64 = first_positional(&args)
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(2014);
-    let num_seeds: usize = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .map(|a| a.parse())
-        .transpose()?
-        .unwrap_or(50);
+    let args = FIGURE3.parse(std::env::args().skip(1))?;
+    let json = args.switch("--json");
+    let seed = args.seed.unwrap_or(2014);
+    let num_seeds: usize = args.parsed("--seeds")?.unwrap_or(50);
 
     eprintln!(
         "figure3: 30-task random systems, {num_seeds} seeds from {seed}, \
          ratios -40%..+40%"
     );
-    let opts = exp_options_from_args(&args)?;
+    let opts = args.exp_options()?;
     let rows = run_with_opts(
         seed,
         num_seeds,

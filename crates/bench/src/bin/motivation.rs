@@ -5,12 +5,12 @@
 //! Usage: `cargo run --release -p rto-bench --bin motivation [seed]`
 
 use rto_bench::motivation::{run, MotivationParams};
+use rto_bench::opts::MOTIVATION;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|a| a.parse())
-        .transpose()?
+    let seed = MOTIVATION
+        .parse(std::env::args().skip(1))?
+        .seed
         .unwrap_or(2014);
     let params = MotivationParams::default();
     let report = run(params, 2000, seed)?;

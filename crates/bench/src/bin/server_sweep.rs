@@ -6,20 +6,17 @@
 //! Usage: `cargo run --release -p rto-bench --bin server_sweep [seed]
 //! [--json] [--jobs N] [--cache]`
 
-use rto_bench::opts::{exp_options_from_args, first_positional};
+use rto_bench::opts::SERVER_SWEEP;
 use rto_bench::report::{text_table, write_json_lines};
 use rto_bench::sweep::{default_grid, run_with};
 use rto_core::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let seed: u64 = first_positional(&args)
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(2014);
+    let args = SERVER_SWEEP.parse(std::env::args().skip(1))?;
+    let json = args.switch("--json");
+    let seed = args.seed.unwrap_or(2014);
 
-    let opts = exp_options_from_args(&args)?;
+    let opts = args.exp_options()?;
     eprintln!("server_sweep: background utilization 0.0..1.2, 5 seeds x 10 s per point");
     let sweep = run_with(&default_grid(), 5, 10, seed, &opts)?;
     eprintln!(

@@ -2,113 +2,65 @@
 //! reference heap (the production `LegacyHeap` engine was retired after
 //! soaking as the differential oracle; the textbook
 //! `BinaryHeap<Reverse<(at, seq, job)>>` model here keeps the speedup
-//! gate honest without keeping dead code in the simulator).
+//! honest without keeping dead code in the simulator).
 //!
 //! Two workloads, both deterministic:
 //!
 //! * **Synchronized-fleet hold model** (the classic calendar-queue hold
-//!   benchmark, with the simulator's stress distribution) at 10³, 10⁴,
-//!   and 10⁵ concurrent jobs: prefill one event per job, phases
-//!   staggered on the millisecond grid inside one shared 200 ms period,
-//!   then repeatedly pop the earliest event and push that job's next
-//!   one a period ahead. Every millisecond tick fires a batch of
-//!   same-instant events — the synchronized-release clustering that
-//!   drove the calendar rewrite, and the case where a heap pays `log n`
-//!   per event of a batch while the calendar streams it. Timed as the
-//!   best of three back-to-back trials (each a full pass over the
-//!   pending population several times) to shed scheduler noise.
-//!   Reported as events/sec per implementation and the
-//!   calendar/reference speedup — this is the number the ≥10x
-//!   acceptance gate reads at `n = 100 000`.
+//!   benchmark, with the simulator's stress distribution; see
+//!   [`rto_bench::hot_path`]) at 10³, 10⁴, and 10⁵ concurrent jobs:
+//!   prefill one event per job, phases staggered on the millisecond grid
+//!   inside one shared 200 ms period, then repeatedly pop the earliest
+//!   event and push that job's next one a period ahead. Every
+//!   millisecond tick fires a batch of same-instant events — the
+//!   synchronized-release clustering that drove the calendar rewrite,
+//!   and the case where a heap pays `log n` per event of a batch while
+//!   the calendar streams it. Timed as the best of three back-to-back
+//!   trials (each a full pass over the pending population several
+//!   times) to shed scheduler noise; at 10⁵ the best of three such
+//!   rounds for both queues. Reported as events/sec per implementation
+//!   and the calendar/reference speedup.
 //! * **Engine fleet scaling** — a full `Simulation::build` + `run` over
 //!   an offloadable task fleet at 10², 10³, and 10⁴ tasks, reporting
-//!   jobs/sec at each size. WCETs shrink as the fleet grows, so the
+//!   jobs/sec at each size and `engine_scaling`, the 10⁴-task jobs/sec
+//!   over the 10²-task jobs/sec. WCETs shrink as the fleet grows, so the
 //!   density stays fixed, and the horizon shrinks with it, so every size
 //!   simulates about the same number of jobs: a per-job cost that grows
 //!   with the task count shows as a falling curve. Plans come from
-//!   HEU-OE (the exact DP's choice table would need ~400 MB at 10⁴
-//!   classes). The 10² fleet also runs twice and must serialize
-//!   identically (cheap determinism cross-check of the
-//!   `engine_differential` suite).
+//!   HEU-OE: this times the engine, not the planner. The 10² fleet also
+//!   runs twice and must serialize identically (cheap determinism
+//!   cross-check of the `engine_differential` suite).
 //!
-//! A counting `#[global_allocator]` measures steady-state hold
-//! allocations at 10⁵ events after warm-up — the calendar queue's hot
-//! path reuses bucket storage, so the budget is (near-)zero.
-//!
-//! Writes a `BENCH_sim.json` summary; CI compares
-//! `calendar_ns_per_event_100000` against the committed baseline
-//! (`results/BENCH_sim_baseline.json`, ≤2x) and asserts
-//! `speedup_100000 ≥ 10`. The binary itself fails when the engine at
-//! 10⁴ tasks runs below [`MIN_ENGINE_SCALING`] of its 10² jobs/sec.
+//! Writes a `BENCH_sim.json` summary; `scripts/bench_trend` holds it to
+//! the bounds in `bench.budget.toml`, against
+//! `results/BENCH_sim_baseline.json`. The binary fails only on a
+//! cross-check: the two queues' hold checksums differ, or the two
+//! identical engine runs do not serialize identically. That
+//! steady-state holds rarely allocate is a test:
+//! `crates/bench/tests/alloc_budget.rs`.
 //!
 //! Usage: `cargo run --release -p rto-bench --bin sim_bench
 //! [--ops N] [--out PATH]`
 
+use rto_bench::hot_path::{hold, prefilled, HoldQueue};
+use rto_bench::opts::SIM_BENCH;
 use rto_core::time::{Duration, Instant};
 use rto_obs::Stopwatch;
 use rto_sim::event::{Event, EventQueue};
-use rto_stats::Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Counts allocations while `COUNTING` is set; delegates to `System`.
-/// Lives in the bin (not the lib) because `GlobalAlloc` needs `unsafe`
-/// and the library forbids it.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-// SAFETY: delegates every operation to `System`; only adds bookkeeping.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            // Relaxed is enough: single-threaded tally read after a SeqCst fence at the end
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
-/// The synchronized fleet's shared task period: every job reschedules
-/// exactly this far ahead, so pending events stay clustered on the
-/// millisecond phase grid forever.
-const PERIOD_BASE_MS: u64 = 200;
-const NS_PER_MS: u64 = 1_000_000;
 /// Hold trials per measurement; the best (fastest) one is reported.
 const HOLD_TRIALS: usize = 3;
 /// Engine fleet sizes of the scaling curve.
 const ENGINE_FLEETS: [usize; 3] = [100, 1_000, 10_000];
 /// Engine runs per fleet size; the fastest one is reported.
 const ENGINE_TRIALS: usize = 3;
-/// Jobs/sec at 10⁴ tasks over jobs/sec at 10² below which the binary
-/// fails. An engine whose per-job cost is independent of the task count
-/// reads about 0.6 (cache misses grow with the state); one that scanned
-/// the task list per job read 0.27 at 10³ tasks and 0.03 at 10⁴.
-const MIN_ENGINE_SCALING: f64 = 0.25;
 
 /// One reference-heap entry: the retired engine's layout verbatim —
 /// `(at, seq)` ordering key plus the full 16-byte [`Event`] payload —
-/// so the speedup gate keeps measuring the same competitor it did when
-/// the heap engine still lived in the simulator.
+/// so the speedup keeps measuring the same competitor it did when the
+/// heap engine still lived in the simulator.
 #[derive(Clone, Copy)]
 struct RefEntry {
     at: u64,
@@ -152,7 +104,9 @@ impl RefHeap {
             next_seq: 0,
         }
     }
+}
 
+impl HoldQueue for RefHeap {
     fn push(&mut self, at: Instant, event: Event) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
@@ -170,78 +124,15 @@ impl RefHeap {
     }
 }
 
-/// The shared prefill schedule: phase (in ns) of the `i`-th job's first
-/// event, staggered on the millisecond grid inside one shared period —
-/// the stagger a synchronized fleet's release pattern has. Both
-/// implementations prefill from the same seed, so their schedules (and
-/// hence hold checksums) are identical.
-fn prefill_phase(rng: &mut Rng) -> Instant {
-    let phase_ms = rng.u64_range(0, PERIOD_BASE_MS.saturating_sub(1));
-    Instant::from_ns(phase_ms.saturating_mul(NS_PER_MS))
-}
-
-/// Prefills a calendar queue with one event per job.
-fn prefill(n: usize, rng: &mut Rng) -> EventQueue {
-    let mut q = EventQueue::with_capacity(n);
-    for i in 0..n {
-        q.push(prefill_phase(rng), Event::ServerResponse { job_id: i });
-    }
-    q
-}
-
-/// Prefills the reference heap with the identical schedule.
-fn prefill_ref(n: usize, rng: &mut Rng) -> RefHeap {
-    let mut q = RefHeap::with_capacity(n);
-    for i in 0..n {
-        let t = prefill_phase(rng);
-        q.push(t, Event::ServerResponse { job_id: i });
-    }
-    q
-}
-
-/// The hold loop: pop the earliest job event, push that job's next one
-/// a shared period ahead. Returns the popped-time checksum so the work
-/// cannot be optimized away and so both implementations can be asserted
-/// to agree.
-fn hold(q: &mut EventQueue, ops: u64) -> u64 {
-    let gap = Duration::from_ms(PERIOD_BASE_MS);
-    let mut checksum = 0u64;
-    for i in 0..ops {
-        let Some((t, _)) = q.pop() else {
-            break;
-        };
-        // Rotate-xor: order-sensitive like a multiply-add chain but one
-        // cycle deep, so the checksum stays off the critical path.
-        checksum = checksum.rotate_left(1) ^ t.as_ns();
-        q.push(t + gap, Event::ServerResponse { job_id: i as usize });
-    }
-    black_box(checksum)
-}
-
-/// The identical hold loop over the reference heap.
-fn hold_ref(q: &mut RefHeap, ops: u64) -> u64 {
-    let gap = Duration::from_ms(PERIOD_BASE_MS);
-    let mut checksum = 0u64;
-    for i in 0..ops {
-        let Some((t, _)) = q.pop() else {
-            break;
-        };
-        checksum = checksum.rotate_left(1) ^ t.as_ns();
-        q.push(t + gap, Event::ServerResponse { job_id: i as usize });
-    }
-    black_box(checksum)
-}
-
-/// Times one hold run; returns (events/sec, ns/event, checksum). Takes
-/// the best of [`HOLD_TRIALS`] timed trials — the queue state each
-/// trial starts from is deterministic, so the fold of every trial's
-/// checksum is too, and the minimum elapsed time is the least
-/// noise-polluted view of the same steady state.
-fn run_hold(n: usize, ops: u64) -> (f64, f64, u64) {
-    let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
-    let mut q = prefill(n, &mut rng);
-    // One warm-up pass so the measured region sees steady-state
-    // capacities and an adapted bucket width.
+/// Times the hold model on `q`, prefilled for `n` jobs; returns
+/// (ns/event, checksum). One untimed warm-up pass lets the measured
+/// region see steady-state capacities and an adapted bucket width. Then
+/// the best of [`HOLD_TRIALS`] timed trials: the queue state each trial
+/// starts from is deterministic, so the fold of every trial's checksum
+/// is too, and the minimum elapsed time is the least noise-polluted view
+/// of the same steady state.
+fn run_hold<Q: HoldQueue>(q: Q, n: usize, ops: u64) -> (f64, u64) {
+    let mut q = prefilled(q, n);
     hold(&mut q, ops / 2);
     let mut checksum = 0u64;
     let mut best_elapsed = f64::INFINITY;
@@ -254,46 +145,7 @@ fn run_hold(n: usize, ops: u64) -> (f64, f64, u64) {
             best_elapsed = elapsed;
         }
     }
-    let per_event = best_elapsed / ops as f64;
-    (1e9 / per_event.max(1e-9), per_event, checksum)
-}
-
-/// [`run_hold`] for the reference heap — same seed, same warm-up, same
-/// trial fold, so the returned checksum must equal the calendar one.
-fn run_hold_ref(n: usize, ops: u64) -> (f64, f64, u64) {
-    let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
-    let mut q = prefill_ref(n, &mut rng);
-    hold_ref(&mut q, ops / 2);
-    let mut checksum = 0u64;
-    let mut best_elapsed = f64::INFINITY;
-    for _ in 0..HOLD_TRIALS {
-        let sw = Stopwatch::start();
-        let trial_sum = hold_ref(&mut q, ops);
-        let elapsed = Duration::from_ns(sw.elapsed_ns()).as_ns_f64();
-        checksum = checksum.wrapping_mul(31).wrapping_add(trial_sum);
-        if elapsed < best_elapsed {
-            best_elapsed = elapsed;
-        }
-    }
-    let per_event = best_elapsed / ops as f64;
-    (1e9 / per_event.max(1e-9), per_event, checksum)
-}
-
-/// Counts steady-state allocations over `ops` hold operations (after
-/// its own warm-up, so one-time capacity growth is excluded).
-fn count_hold_allocs(n: usize, ops: u64) -> u64 {
-    let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
-    let mut q = prefill(n, &mut rng);
-    hold(&mut q, ops);
-    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
-    COUNTING.store(true, Ordering::SeqCst);
-    hold(&mut q, ops);
-    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
-    COUNTING.store(false, Ordering::SeqCst);
-    // analyze: allow(A5): SeqCst fences bound the counted region around the allocator's relaxed tallies
-    ALLOCATIONS.load(Ordering::SeqCst)
+    (best_elapsed / ops as f64, checksum)
 }
 
 /// One full-engine fleet run: `tasks` offloadable tasks with periods
@@ -355,39 +207,23 @@ fn engine_jobs_per_sec(tasks: usize) -> Result<f64, Box<dyn std::error::Error>> 
     Ok(best)
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let ops: u64 = flag_value(&args, "--ops")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(1_000_000)
-        .max(1_000);
-    let out = flag_value(&args, "--out").unwrap_or("BENCH_sim.json");
+    let args = SIM_BENCH.parse(std::env::args().skip(1))?;
+    let ops: u64 = args.parsed("--ops")?.unwrap_or(1_000_000).max(1_000);
+    let out = args.value("--out").unwrap_or("BENCH_sim.json");
 
     let mut fields = String::new();
-    let mut speedup_at_100k = 0.0;
-    let mut calendar_per_event_100k = 0.0;
-    let mut ref_per_event_100k = 0.0;
     for &n in &[1_000usize, 10_000, 100_000] {
-        // The 10x gate at n = 100k sits well inside the true margin
-        // (~10.9x on an idle machine) but a single noisy scheduling
-        // window can shave it under the line. Re-measure the gated
-        // size up to two more rounds, folding the per-queue minima —
-        // symmetric best-of-N for both competitors, with the checksum
-        // cross-check repeated every round.
+        // A single noisy scheduling window can distort one round, so
+        // the 100k size is measured over three rounds, folding the
+        // per-queue minima — symmetric best-of-N for both competitors,
+        // with the checksum cross-check repeated every round.
         let rounds = if n == 100_000 { 3 } else { 1 };
         let mut cal_per_event = f64::INFINITY;
         let mut ref_per_event = f64::INFINITY;
         for _ in 0..rounds {
-            let (_, cal_round, cal_sum) = run_hold(n, ops);
-            let (_, ref_round, ref_sum) = run_hold_ref(n, ops);
+            let (cal_round, cal_sum) = run_hold(EventQueue::with_capacity(n), n, ops);
+            let (ref_round, ref_sum) = run_hold(RefHeap::with_capacity(n), n, ops);
             if cal_sum != ref_sum {
                 return Err(format!(
                     "hold-model divergence at n={n}: calendar checksum {cal_sum}, \
@@ -397,9 +233,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             cal_per_event = cal_per_event.min(cal_round);
             ref_per_event = ref_per_event.min(ref_round);
-            if ref_per_event / cal_per_event.max(1e-9) >= 10.0 {
-                break;
-            }
         }
         let cal_eps = 1e9 / cal_per_event.max(1e-9);
         let ref_eps = 1e9 / ref_per_event.max(1e-9);
@@ -423,15 +256,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             speedup,
             n = n,
         ));
-        if n == 100_000 {
-            speedup_at_100k = speedup;
-            calendar_per_event_100k = cal_per_event;
-            ref_per_event_100k = ref_per_event;
-        }
     }
-
-    let hold_allocs = count_hold_allocs(100_000, ops.min(500_000));
-    let allocs_per_op = hold_allocs as f64 / ops.min(500_000) as f64;
 
     let (_, first_report) = run_engine(ENGINE_FLEETS[0])?;
     let (_, second_report) = run_engine(ENGINE_FLEETS[0])?;
@@ -446,50 +271,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine_scaling = engine_jps[2] / engine_jps[0].max(1e-9);
     eprintln!(
         "sim_bench: engine 10^4/10^2 tasks {engine_scaling:.2}  \
-         deterministic={engine_deterministic}  steady allocs/op {allocs_per_op:.4}"
+         deterministic={engine_deterministic}"
     );
 
     let summary = format!(
         concat!(
             "{{\"name\":\"sim\",\"ops\":{},{}",
-            "\"hold_allocs\":{},",
-            "\"hold_allocs_per_op\":{:.4},",
+            "\"engine_scaling\":{:.4},",
             "\"engine_deterministic\":{}}}"
         ),
-        ops, fields, hold_allocs, allocs_per_op, engine_deterministic
+        ops, fields, engine_scaling, engine_deterministic
     );
     std::fs::write(out, format!("{summary}\n"))?;
     println!("{summary}");
-    eprintln!(
-        "sim_bench: 100k hold  calendar {calendar_per_event_100k:.1} ns/event vs reference heap \
-         {ref_per_event_100k:.1} ns/event ({speedup_at_100k:.1}x), wrote {out}"
-    );
+    eprintln!("sim_bench: wrote {out}");
 
     if !engine_deterministic {
         return Err("two identical engine runs serialized differently".into());
-    }
-    if engine_scaling < MIN_ENGINE_SCALING {
-        return Err(format!(
-            "engine at 10^4 tasks runs {engine_scaling:.2}x its 10^2-task jobs/s \
-             (target: >={MIN_ENGINE_SCALING}x)"
-        )
-        .into());
-    }
-    if speedup_at_100k < 10.0 {
-        return Err(format!(
-            "calendar speedup at 100k concurrent events is {speedup_at_100k:.1}x (target: >=10x)"
-        )
-        .into());
-    }
-    // Steady-state hold should be allocation-free apart from rare
-    // amortized rebuilds; more than 1% of ops allocating means bucket
-    // storage reuse is broken.
-    if allocs_per_op > 0.01 {
-        return Err(format!(
-            "hold model allocated on {:.2}% of operations (budget: 1%)",
-            allocs_per_op * 100.0
-        )
-        .into());
     }
     Ok(())
 }

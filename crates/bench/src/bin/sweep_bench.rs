@@ -1,28 +1,21 @@
 //! Serial-vs-parallel wall-clock benchmark of the case-study sweep on
-//! the `rto-exp` engine, plus the determinism cross-check CI gates on:
-//! the parallel rows must serialize **byte-identically** to the serial
-//! rows, and (on real multi-core hardware) the parallel run must be
-//! at least ~2× faster with 4 workers.
+//! the `rto-exp` engine, plus the determinism cross-check: the parallel
+//! rows must serialize **byte-identically** to the serial rows, or the
+//! binary fails.
 //!
-//! Writes a `BENCH_sweep.json` summary; the CI job asserts the gate
-//! from that artifact so the numbers stay inspectable.
+//! Writes a `BENCH_sweep.json` summary with the speedup and the core
+//! count it ran on; `scripts/bench_trend` holds the speedup to its
+//! bound in `bench.budget.toml` on hosts with enough cores.
 //!
 //! Usage: `cargo run --release -p rto-bench --bin sweep_bench [seed]
 //! [--jobs N] [--seeds K] [--horizon H] [--out PATH]`
 
-use rto_bench::opts::first_positional;
+use rto_bench::opts::SWEEP_BENCH;
 use rto_bench::report::write_json_lines;
 use rto_bench::sweep::{default_grid, run_with, SweepRow};
 use rto_core::time::Duration;
 use rto_exp::ExpOptions;
 use rto_obs::Stopwatch;
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 fn serialized(rows: &[SweepRow]) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
     let mut buf = Vec::new();
@@ -31,24 +24,12 @@ fn serialized(rows: &[SweepRow]) -> Result<Vec<u8>, Box<dyn std::error::Error>> 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = first_positional(&args)
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(2014);
-    let jobs: usize = flag_value(&args, "--jobs")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(4);
-    let seeds: u64 = flag_value(&args, "--seeds")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(20);
-    let horizon: u64 = flag_value(&args, "--horizon")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(300);
-    let out = flag_value(&args, "--out").unwrap_or("BENCH_sweep.json");
+    let args = SWEEP_BENCH.parse(std::env::args().skip(1))?;
+    let seed = args.seed.unwrap_or(2014);
+    let jobs: usize = args.parsed("--jobs")?.unwrap_or(4);
+    let seeds: u64 = args.parsed("--seeds")?.unwrap_or(20);
+    let horizon: u64 = args.parsed("--horizon")?.unwrap_or(300);
+    let out = args.value("--out").unwrap_or("BENCH_sweep.json");
 
     let grid = default_grid();
     eprintln!(
@@ -75,6 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let parallel_ms = Duration::from_ns(sw.elapsed_ns()).as_ms_f64();
 
     let identical = serialized(&serial.rows)? == serialized(&parallel.rows)?;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let speedup = if parallel_ms > 0.0 {
         serial_ms / parallel_ms
     } else {
@@ -84,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary = format!(
         concat!(
             "{{\"name\":\"sweep\",\"points\":{},\"trials_per_point\":{},",
-            "\"horizon_secs\":{},\"base_seed\":{},\"jobs\":{},",
+            "\"horizon_secs\":{},\"base_seed\":{},\"jobs\":{},\"cores\":{},",
             "\"serial_ms\":{:.3},\"parallel_ms\":{:.3},\"speedup\":{:.3},",
             "\"identical\":{}}}"
         ),
@@ -93,6 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         horizon,
         seed,
         jobs,
+        cores,
         serial_ms,
         parallel_ms,
         speedup,

@@ -5,18 +5,14 @@
 //!
 //! Usage: `cargo run --release -p rto-bench --bin table1 [seed] [--json]`
 
+use rto_bench::opts::TABLE1;
 use rto_bench::report::{text_table, write_json_lines};
 use rto_bench::table1::run;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let seed: u64 = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|a| a.parse())
-        .transpose()?
-        .unwrap_or(2014);
+    let args = TABLE1.parse(std::env::args().skip(1))?;
+    let json = args.switch("--json");
+    let seed = args.seed.unwrap_or(2014);
 
     eprintln!("table1: 8 frames x 5 levels quality, 200 probes/level timing, seed {seed}");
     let rows = run(seed, 8, 200)?;

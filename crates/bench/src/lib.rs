@@ -22,6 +22,7 @@
 pub mod ablation;
 pub mod figure2;
 pub mod figure3;
+pub mod hot_path;
 pub mod motivation;
 pub mod opts;
 pub mod report;

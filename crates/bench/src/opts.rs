@@ -1,5 +1,11 @@
-//! Shared flag parsing for the experiment binaries: every binary that
-//! runs on the `rto-exp` engine understands
+//! The one command-line parser of the `rto-bench` binaries.
+//!
+//! Each binary's command line is a [`Cli`] constant here: whether it
+//! takes a positional seed, the flags that take a value, and the
+//! switches. [`Cli::parse`] rejects an unknown flag, a valued flag
+//! without its value and a second positional, so a typo fails loudly
+//! instead of being read as the seed. The binaries that run on the
+//! `rto-exp` engine also take
 //!
 //! * `--jobs N` — worker threads (`0` = one per core, the default; the
 //!   results never depend on this, only the wall clock does), and
@@ -7,92 +13,293 @@
 //!   (off by default so plain runs measure real simulation time).
 
 use rto_exp::{default_cache_root, ExpOptions};
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Builds [`ExpOptions`] from the binary's raw argument list.
-///
-/// # Errors
-///
-/// Returns a message when `--jobs` is present without a parsable
-/// number.
-pub fn exp_options_from_args(args: &[String]) -> Result<ExpOptions, String> {
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        None => 0,
-        Some(i) => args
-            .get(i + 1)
-            .ok_or("--jobs needs a number")?
-            .parse::<usize>()
-            .map_err(|e| format!("--jobs: {e}"))?,
-    };
-    let cache_root = if args.iter().any(|a| a == "--cache") {
-        Some(default_cache_root())
-    } else {
-        None
-    };
-    Ok(ExpOptions {
-        jobs,
-        cache_root,
-        obs: rto_obs::Obs::disabled(),
-    })
+/// One binary's command-line shape.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    /// Whether the binary takes a positional seed.
+    pub seed: bool,
+    /// Flags that consume the next argument as their value.
+    pub valued: &'static [&'static str],
+    /// Flags that take no value.
+    pub switches: &'static [&'static str],
 }
 
-/// Flags (across all experiment binaries) that consume the following
-/// argument as their value — needed to tell a flag value apart from a
-/// positional argument.
-const VALUED_FLAGS: &[&str] = &["--jobs", "--seeds", "--out"];
+/// `ablation [seed] [--jobs N] [--cache]`
+pub const ABLATION: Cli = Cli {
+    seed: true,
+    valued: &["--jobs"],
+    switches: &["--cache"],
+};
+/// `figure2 [seed] [--json] [--jobs N] [--cache]`
+pub const FIGURE2: Cli = Cli {
+    seed: true,
+    valued: &["--jobs"],
+    switches: &["--json", "--cache"],
+};
+/// `figure3 [seed] [--seeds N] [--json] [--jobs N] [--cache]`
+pub const FIGURE3: Cli = Cli {
+    seed: true,
+    valued: &["--jobs", "--seeds"],
+    switches: &["--json", "--cache"],
+};
+/// `motivation [seed]`
+pub const MOTIVATION: Cli = Cli {
+    seed: true,
+    valued: &[],
+    switches: &[],
+};
+/// `server_sweep [seed] [--json] [--jobs N] [--cache]`
+pub const SERVER_SWEEP: Cli = FIGURE2;
+/// `table1 [seed] [--json]`
+pub const TABLE1: Cli = Cli {
+    seed: true,
+    valued: &[],
+    switches: &["--json"],
+};
+/// `sweep_bench [seed] [--jobs N] [--seeds K] [--horizon H] [--out PATH]`
+pub const SWEEP_BENCH: Cli = Cli {
+    seed: true,
+    valued: &["--jobs", "--seeds", "--horizon", "--out"],
+    switches: &[],
+};
+/// `obs_bench [--events N] [--out PATH]`
+pub const OBS_BENCH: Cli = Cli {
+    seed: false,
+    valued: &["--events", "--out"],
+    switches: &[],
+};
+/// `sim_bench [--ops N] [--out PATH]`
+pub const SIM_BENCH: Cli = Cli {
+    seed: false,
+    valued: &["--ops", "--out"],
+    switches: &[],
+};
 
-/// The first *positional* argument: skips flags and the values of
-/// value-taking flags, so `--jobs 4 2014` and `2014 --jobs 4` both
-/// yield `2014`.
-#[must_use]
-pub fn first_positional(args: &[String]) -> Option<&str> {
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
+/// A parsed command line.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// The positional seed, when one was given.
+    pub seed: Option<u64>,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Cli {
+    /// Parses `args` (the arguments after the program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown flag, a valued flag with no
+    /// value after it, a seed that is not a `u64`, and a positional the
+    /// binary does not take.
+    pub fn parse(&self, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(&flag) = self.valued.iter().find(|f| **f == arg) {
+                let value = args
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))?;
+                parsed.values.push((flag, value));
+            } else if let Some(&switch) = self.switches.iter().find(|s| **s == arg) {
+                parsed.switches.push(switch);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg}"));
+            } else if self.seed && parsed.seed.is_none() {
+                parsed.seed = Some(arg.parse().map_err(|e| format!("seed {arg:?}: {e}"))?);
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
         }
-        if a.starts_with("--") {
-            skip_value = VALUED_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        return Some(a);
+        Ok(parsed)
     }
-    None
+}
+
+impl Args {
+    /// Whether `switch` was given.
+    #[must_use]
+    pub fn switch(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The value given with `flag` (its first occurrence).
+    #[must_use]
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value given with `flag`, parsed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when the value does not parse.
+    pub fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
+    /// The engine options of `--jobs` (default `0`, one per core) and
+    /// `--cache`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `--jobs` is not a number.
+    pub fn exp_options(&self) -> Result<ExpOptions, String> {
+        Ok(ExpOptions {
+            jobs: self.parsed("--jobs")?.unwrap_or(0),
+            cache_root: self.switch("--cache").then(default_cache_root),
+            obs: rto_obs::Obs::disabled(),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_owned()).collect()
+    fn parse(cli: Cli, args: &[&str]) -> Result<Args, String> {
+        cli.parse(args.iter().map(|s| (*s).to_owned()))
     }
 
     #[test]
-    fn positional_skips_flag_values() {
-        assert_eq!(first_positional(&v(&["--jobs", "4", "2014"])), Some("2014"));
-        assert_eq!(first_positional(&v(&["2014", "--jobs", "4"])), Some("2014"));
-        assert_eq!(first_positional(&v(&["--json", "7"])), Some("7"));
-        assert_eq!(first_positional(&v(&["--jobs", "4", "--cache"])), None);
+    fn a_flag_value_is_never_the_seed() {
+        let a = parse(
+            SWEEP_BENCH,
+            &["--horizon", "1", "--seeds", "1", "--jobs", "1", "7"],
+        )
+        .expect("parses");
+        assert_eq!(a.seed, Some(7));
+        assert_eq!(
+            (a.value("--horizon"), a.value("--seeds"), a.value("--jobs")),
+            (Some("1"), Some("1"), Some("1"))
+        );
+        let a = parse(
+            SWEEP_BENCH,
+            &["--jobs", "1", "--seeds", "1", "--horizon", "1"],
+        )
+        .expect("parses");
+        assert_eq!(a.seed, None);
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_take_is_an_error() {
+        let err = parse(TABLE1, &["--jobs", "4"]).expect_err("table1 takes no --jobs");
+        assert_eq!(err, "unknown flag --jobs");
+        assert!(parse(FIGURE2, &["--seeds", "5"]).is_err());
+        assert!(parse(SIM_BENCH, &["--op", "5"]).is_err());
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        assert_eq!(
+            parse(SWEEP_BENCH, &["--jobs"])
+                .expect_err("no value")
+                .as_str(),
+            "--jobs needs a value"
+        );
+        assert!(parse(FIGURE3, &["--seeds", "--json"]).is_err());
+        assert!(parse(OBS_BENCH, &["--out"]).is_err());
+    }
+
+    #[test]
+    fn stray_positionals_are_errors() {
+        assert!(parse(FIGURE2, &["1", "2"]).is_err());
+        assert!(parse(OBS_BENCH, &["7"]).is_err());
+        assert!(parse(TABLE1, &["seven"]).is_err());
+    }
+
+    #[test]
+    fn the_seed_may_come_before_or_after_the_flags() {
+        let a = parse(FIGURE3, &["--jobs", "4", "2014"]).expect("parses");
+        assert_eq!(a.seed, Some(2014));
+        let a = parse(FIGURE3, &["2014", "--jobs", "4"]).expect("parses");
+        assert_eq!(a.seed, Some(2014));
+        let a = parse(FIGURE2, &["--json", "7"]).expect("parses");
+        assert_eq!((a.seed, a.switch("--json")), (Some(7), true));
+        let a = parse(FIGURE2, &["--jobs", "4", "--cache"]).expect("parses");
+        assert_eq!(a.seed, None);
+    }
+
+    /// Every command line the docs, `scripts/check.sh` and CI give.
+    #[test]
+    fn documented_command_lines_parse() {
+        let a = parse(FIGURE3, &["2014", "--seeds", "50"]).expect("parses");
+        assert_eq!(
+            (a.seed, a.parsed::<usize>("--seeds")),
+            (Some(2014), Ok(Some(50)))
+        );
+        let a = parse(SERVER_SWEEP, &["--jobs", "8", "--cache"]).expect("parses");
+        assert_eq!(
+            (a.seed, a.value("--jobs"), a.switch("--cache")),
+            (None, Some("8"), true)
+        );
+        let a = parse(SWEEP_BENCH, &["--jobs", "4", "--out", "BENCH_sweep.json"]).expect("parses");
+        assert_eq!(
+            (a.seed, a.value("--jobs"), a.value("--out")),
+            (None, Some("4"), Some("BENCH_sweep.json"))
+        );
+        let a = parse(
+            SWEEP_BENCH,
+            &["5", "--jobs", "8", "--seeds", "600", "--horizon", "10"],
+        )
+        .expect("parses");
+        assert_eq!(
+            (
+                a.seed,
+                a.value("--jobs"),
+                a.value("--seeds"),
+                a.value("--horizon")
+            ),
+            (Some(5), Some("8"), Some("600"), Some("10"))
+        );
+        let a = parse(OBS_BENCH, &["--events", "60000", "--out", "bench.json"]).expect("parses");
+        assert_eq!(
+            (a.value("--events"), a.value("--out")),
+            (Some("60000"), Some("bench.json"))
+        );
+        let a = parse(SIM_BENCH, &["--out", "BENCH_sim.json"]).expect("parses");
+        assert_eq!(a.value("--out"), Some("BENCH_sim.json"));
+        for cli in [TABLE1, FIGURE2, FIGURE3, MOTIVATION, ABLATION, SERVER_SWEEP] {
+            assert_eq!(parse(cli, &[]).expect("parses").seed, None);
+        }
     }
 
     #[test]
     fn defaults_are_all_cores_no_cache() {
-        let o = exp_options_from_args(&v(&["2014", "--json"])).expect("parses");
+        let o = parse(FIGURE2, &["2014", "--json"])
+            .and_then(|a| a.exp_options())
+            .expect("parses");
         assert_eq!(o.jobs, 0);
         assert!(o.cache_root.is_none());
     }
 
     #[test]
     fn jobs_and_cache_parse() {
-        let o = exp_options_from_args(&v(&["--jobs", "4", "--cache"])).expect("parses");
+        let o = parse(FIGURE2, &["--jobs", "4", "--cache"])
+            .and_then(|a| a.exp_options())
+            .expect("parses");
         assert_eq!(o.jobs, 4);
         assert_eq!(o.cache_root, Some(default_cache_root()));
     }
 
     #[test]
-    fn bad_jobs_is_an_error() {
-        assert!(exp_options_from_args(&v(&["--jobs"])).is_err());
-        assert!(exp_options_from_args(&v(&["--jobs", "many"])).is_err());
+    fn bad_numbers_are_errors() {
+        let a = parse(FIGURE2, &["--jobs", "many"]).expect("parses");
+        assert_eq!(
+            a.exp_options().expect_err("not a number").split(':').next(),
+            Some("--jobs")
+        );
+        assert!(parse(FIGURE2, &["-1"]).is_err());
     }
 }
