@@ -127,7 +127,7 @@ pub fn run_with(
 
     let spec = MatrixSpec {
         name: "figure2".into(),
-        fingerprint: format!("figure2-v1\u{1f}horizon={horizon_secs}"),
+        fingerprint: format!("figure2-v2\u{1f}horizon={horizon_secs}"),
         base_seed: seed,
         point_keys: planned
             .iter()

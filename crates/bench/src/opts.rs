@@ -78,6 +78,26 @@ pub const SIM_BENCH: Cli = Cli {
     switches: &[],
 };
 
+/// `rto-cli sweep [--jobs N] [--seeds K] [--horizon S] [--seed B] [--cache] [--json]`
+pub const CLI_SWEEP: Cli = Cli {
+    seed: false,
+    valued: &["--jobs", "--seeds", "--horizon", "--seed"],
+    switches: &["--cache", "--json"],
+};
+/// `rto-cli serve-metrics [--addr H:P] [--linger-ms MS] [sweep flags]`
+pub const CLI_SERVE_METRICS: Cli = Cli {
+    seed: false,
+    valued: &[
+        "--jobs",
+        "--seeds",
+        "--horizon",
+        "--seed",
+        "--addr",
+        "--linger-ms",
+    ],
+    switches: &["--cache", "--json"],
+};
+
 /// A parsed command line.
 #[derive(Debug, Default)]
 pub struct Args {

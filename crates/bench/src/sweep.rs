@@ -141,8 +141,8 @@ pub fn run_with(
     let spec = MatrixSpec {
         name: "sweep".into(),
         // Everything that shapes a trial besides the per-point key and
-        // the seed indices; `sweep-v1` is the trial-logic revision.
-        fingerprint: format!("sweep-v1\u{1f}horizon={horizon_secs}"),
+        // the seed indices; `sweep-v2` is the trial-logic revision.
+        fingerprint: format!("sweep-v2\u{1f}horizon={horizon_secs}"),
         base_seed,
         // Content keys carry the utilization *bits*, so editing one
         // point invalidates exactly that point's cache entries.

@@ -28,32 +28,33 @@ use commands::{
     ServeArgs, SweepArgs, TraceFormat,
 };
 use config::SystemConfig;
+use rto_bench::opts::{Args, CLI_SERVE_METRICS, CLI_SWEEP};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rto-cli <demo | plan <file> | analyze <file> | simulate <file> [--gantt] [--trace-json <out>] | trace <file> [--format chrome|jsonl] --out <path> | sweep [--jobs N] [--seeds K] [--horizon S] [--seed B] [--cache] [--json] | serve-metrics [--addr H:P] [--linger-ms MS] [sweep flags]>";
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The sweep flags of `sweep` and `serve-metrics`, defaults filled in.
+fn sweep_args(args: &Args) -> Result<SweepArgs, String> {
+    let defaults = SweepArgs::default();
+    Ok(SweepArgs {
+        jobs: args.parsed("--jobs")?.unwrap_or(defaults.jobs),
+        seeds: args.parsed("--seeds")?.unwrap_or(defaults.seeds),
+        horizon_secs: args.parsed("--horizon")?.unwrap_or(defaults.horizon_secs),
+        seed: args.parsed("--seed")?.unwrap_or(defaults.seed),
+        cache: args.switch("--cache"),
+        json: args.switch("--json"),
+    })
 }
 
-fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
-    let defaults = SweepArgs::default();
-    let parse = |flag: &str, default_u64: u64| -> Result<u64, String> {
-        flag_value(args, flag).map_or(Ok(default_u64), |v| {
-            v.parse().map_err(|e| format!("{flag}: {e}"))
-        })
-    };
-    Ok(SweepArgs {
-        jobs: usize::try_from(parse("--jobs", defaults.jobs as u64)?)
-            .map_err(|e| format!("--jobs: {e}"))?,
-        seeds: parse("--seeds", defaults.seeds)?,
-        horizon_secs: parse("--horizon", defaults.horizon_secs)?,
-        seed: parse("--seed", defaults.seed)?,
-        cache: args.iter().any(|a| a == "--cache"),
-        json: args.iter().any(|a| a == "--json"),
+/// `serve-metrics`' flags: the sweep's, the bind address and the linger.
+fn serve_args(args: &Args) -> Result<ServeArgs, String> {
+    let defaults = ServeArgs::default();
+    Ok(ServeArgs {
+        addr: args
+            .value("--addr")
+            .map_or(defaults.addr, ToOwned::to_owned),
+        sweep: sweep_args(args)?,
+        linger_ms: args.parsed("--linger-ms")?.unwrap_or(defaults.linger_ms),
     })
 }
 
@@ -98,18 +99,12 @@ fn run() -> Result<String, String> {
                 .ok_or(USAGE)?;
             cmd_trace(&load(path)?, format, std::path::Path::new(out))
         }
-        Some("sweep") => cmd_sweep(&parse_sweep_args(&args)?),
-        Some("serve-metrics") => {
-            let defaults = ServeArgs::default();
-            let linger_ms = flag_value(&args, "--linger-ms")
-                .map_or(Ok(defaults.linger_ms), str::parse)
-                .map_err(|e| format!("--linger-ms: {e}"))?;
-            cmd_serve_metrics(&ServeArgs {
-                addr: flag_value(&args, "--addr").map_or(defaults.addr, ToOwned::to_owned),
-                sweep: parse_sweep_args(&args)?,
-                linger_ms,
-            })
-        }
+        Some("sweep") => cmd_sweep(&sweep_args(
+            &CLI_SWEEP.parse(args.iter().skip(1).cloned())?,
+        )?),
+        Some("serve-metrics") => cmd_serve_metrics(&serve_args(
+            &CLI_SERVE_METRICS.parse(args.iter().skip(1).cloned())?,
+        )?),
         _ => Err(USAGE.to_string()),
     }
 }
@@ -124,5 +119,67 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cli: rto_bench::opts::Cli, line: &str) -> Result<Args, String> {
+        cli.parse(line.split_whitespace().map(ToOwned::to_owned))
+    }
+
+    #[test]
+    fn a_misspelt_sweep_flag_is_an_error() {
+        let err = parse(CLI_SWEEP, "--horizn 1 --seeds 1 --jobs 1 --json")
+            .expect_err("--horizn is not a flag");
+        assert_eq!(err, "unknown flag --horizn");
+        assert!(parse(CLI_SERVE_METRICS, "--adr 127.0.0.1:0").is_err());
+        assert!(parse(CLI_SWEEP, "--addr 127.0.0.1:0").is_err());
+        assert!(parse(CLI_SWEEP, "7").is_err());
+        assert!(parse(CLI_SWEEP, "--seeds").is_err());
+    }
+
+    /// The usage lines of this file and the command lines the README and
+    /// DESIGN.md give.
+    #[test]
+    fn documented_command_lines_parse() {
+        let sweep = |line| parse(CLI_SWEEP, line).and_then(|a| sweep_args(&a));
+        let a = sweep("--jobs 4 --seeds 20 --horizon 300 --json").expect("parses");
+        assert_eq!(
+            (a.jobs, a.seeds, a.horizon_secs, a.json, a.cache),
+            (4, 20, 300, true, false)
+        );
+        let a = sweep("--jobs 1 --seeds 2 --horizon 5 --seed 9 --cache").expect("parses");
+        assert_eq!((a.seeds, a.horizon_secs, a.seed, a.cache), (2, 5, 9, true));
+        let d = SweepArgs::default();
+        let a = sweep("").expect("parses");
+        assert_eq!(
+            (a.jobs, a.seeds, a.horizon_secs, a.seed),
+            (d.jobs, d.seeds, d.horizon_secs, d.seed)
+        );
+
+        let serve = |line| parse(CLI_SERVE_METRICS, line).and_then(|a| serve_args(&a));
+        let a = serve("--addr 127.0.0.1:9184 --linger-ms 30000").expect("parses");
+        assert_eq!((a.addr.as_str(), a.linger_ms), ("127.0.0.1:9184", 30_000));
+        let a =
+            serve("--addr 127.0.0.1:39184 --seeds 2 --horizon 5 --linger-ms 8000").expect("parses");
+        assert_eq!(
+            (a.sweep.seeds, a.sweep.horizon_secs, a.linger_ms),
+            (2, 5, 8_000)
+        );
+    }
+
+    #[test]
+    fn bad_numbers_name_their_flag() {
+        let err = parse(CLI_SWEEP, "--horizon soon")
+            .and_then(|a| sweep_args(&a))
+            .expect_err("not a number");
+        assert!(err.starts_with("--horizon"), "{err}");
+        let err = parse(CLI_SERVE_METRICS, "--linger-ms -1")
+            .and_then(|a| serve_args(&a))
+            .expect_err("not a number");
+        assert!(err.starts_with("--linger-ms"), "{err}");
     }
 }

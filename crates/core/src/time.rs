@@ -268,8 +268,20 @@ impl Duration {
 /// least 0.5 means `x < 2^53`. The comparison is added, not branched
 /// on: sampled remainders are random, and a branch on them mispredicts
 /// half the time.
+///
+/// Below 2^63, which every sampled time is, the same steps run on
+/// `i64`: x86-64 converts between `f64` and `i64` in one instruction
+/// each way (plus the checks of Rust's saturating cast), between `f64`
+/// and `u64` only in a sequence. The truncation is the same integer and
+/// converts back to the same `f64`, so the value is the same.
 #[inline]
 fn round_ns(x: f64) -> u64 {
+    // `i64::MAX as f64` is 2^63.
+    if x < i64::MAX as f64 {
+        // Negative values truncate to 0 and leave a remainder below 0.5.
+        let whole = x.clamp(0.0, i64::MAX as f64) as i64;
+        return whole as u64 + u64::from(x - whole as f64 >= 0.5);
+    }
     let whole = x.clamp(0.0, u64::MAX as f64) as u64;
     whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
@@ -576,5 +588,51 @@ mod tests {
     fn ordering() {
         assert!(Duration::from_ms(1) < Duration::from_ms(2));
         assert!(Instant::ZERO < Instant::from_ns(1));
+    }
+
+    /// `round_ns` as it was before its `i64` path: the reference the
+    /// fast path must agree with on every input.
+    fn round_ns_u64(x: f64) -> u64 {
+        let whole = x.clamp(0.0, u64::MAX as f64) as u64;
+        whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+    }
+
+    /// `x` moved by `ulps` units in the last place.
+    fn nudge(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    #[test]
+    fn round_ns_agrees_with_the_u64_path_at_the_edges() {
+        let mut inputs = vec![f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        inputs.extend([0.0, -0.0, 0.5, 1.5, -0.5, -0.4, f64::MIN_POSITIVE, f64::MAX]);
+        for e in [52, 53, 62, 63, 64, 65] {
+            for off in [-1.5, -0.5, 0.0, 0.5, 1.5] {
+                for d in -4..=4 {
+                    let x = nudge(2f64.powi(e) + off, d);
+                    inputs.extend([x, -x]);
+                }
+            }
+        }
+        for x in inputs {
+            assert_eq!(round_ns(x), round_ns_u64(x), "{x:e} ({:#x})", x.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Every bit pattern (negatives, NaNs and infinities included),
+        /// and the non-negative ones up to 2^64 on their own.
+        #[test]
+        fn round_ns_agrees_with_the_u64_path(
+            bits in proptest::prop_oneof![
+                0u64..=u64::MAX,
+                0u64..=18_446_744_073_709_551_616f64.to_bits(),
+            ]
+        ) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_ns(x), round_ns_u64(x), "{:e}", x);
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! decision.
 
 use crate::rng::Rng;
-use std::f64::consts::PI;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error raised when distribution parameters are invalid.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +107,10 @@ impl Distribution for Constant {
 }
 
 /// Normal (Gaussian) distribution.
+///
+/// Sampled as `mu + sigma·Z`, where `Z` is a standard normal drawn by the
+/// 256-layer ziggurat of [`normal_ziggurat`]: one `u64`, one multiply and
+/// one compare on 98.5 % of draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mu: f64,
@@ -130,13 +134,37 @@ impl Normal {
         Ok(Normal { mu, sigma })
     }
 
-    /// Samples a standard normal via the Box–Muller transform.
+    /// Samples a standard normal with the ziggurat of
+    /// [`normal_ziggurat`]; bit 8 of the layer draw is the sign.
     #[inline]
     pub(crate) fn standard(rng: &mut Rng) -> f64 {
-        // u1 in (0,1]: avoid ln(0).
-        let u1 = 1.0 - rng.f64();
-        let u2 = rng.f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
+        let zig = normal_ziggurat();
+        loop {
+            let bits = rng.next_u64();
+            let layer = (bits & 0xff) as usize;
+            let (outer, inner) = edges(&zig.x, layer);
+            let x = unit(bits) * outer;
+            // Moving bit 8 to the sign bit negates without a branch: a
+            // branch on a random bit mispredicts half the time.
+            let signed = |z: f64| f64::from_bits(z.to_bits() ^ ((bits & 0x100) << 55));
+            if x < inner {
+                return signed(x);
+            }
+            if layer == 0 {
+                // The tail beyond R (Marsaglia 1964): with exponentials
+                // a and b, R + a/R has the tail's law given 2b > (a/R)².
+                loop {
+                    let a = Exponential::standard(rng) / zig.r;
+                    let b = Exponential::standard(rng);
+                    if b + b > a * a {
+                        return signed(zig.r + a);
+                    }
+                }
+            }
+            if zig.under_curve(layer, x, rng, normal_density) {
+                return signed(x);
+            }
+        }
     }
 }
 
@@ -154,7 +182,8 @@ impl Distribution for Normal {
 ///
 /// The workhorse for modelling response-time *tails* of the
 /// timing-unreliable component: right-skewed, strictly positive, heavy
-/// enough to occasionally blow past any estimated response time.
+/// enough to occasionally blow past any estimated response time. A draw
+/// is one ziggurat standard normal (see [`Normal`]) and one `exp`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
@@ -239,9 +268,13 @@ impl Distribution for LogNormal {
 }
 
 /// Exponential distribution with rate `lambda`.
+///
+/// Sampled as `mean·E`, where `E` is a standard exponential drawn by the
+/// 256-layer ziggurat of [`exponential_ziggurat`]: one `u64`, one
+/// multiply and one compare on 97.8 % of draws, and no logarithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
-    lambda: f64,
+    mean: f64,
 }
 
 impl Exponential {
@@ -250,37 +283,194 @@ impl Exponential {
     ///
     /// # Errors
     ///
-    /// Returns [`ParamError`] if `lambda <= 0`.
+    /// Returns [`ParamError`] if `lambda <= 0`, or if it is so small that
+    /// its mean is not finite.
     pub fn new(lambda: f64) -> Result<Self, ParamError> {
         if lambda <= 0.0 || !lambda.is_finite() {
             return Err(ParamError::new(format!(
                 "exponential: lambda {lambda} <= 0"
             )));
         }
-        Ok(Exponential { lambda })
+        Exponential::from_mean(1.0 / lambda)
     }
 
     /// Creates an exponential distribution with the given mean.
     ///
     /// # Errors
     ///
-    /// Returns [`ParamError`] if `mean <= 0`.
+    /// Returns [`ParamError`] if `mean <= 0` or is not finite.
     pub fn from_mean(mean: f64) -> Result<Self, ParamError> {
-        if mean <= 0.0 || mean.is_nan() {
-            return Err(ParamError::new(format!("exponential: mean {mean} <= 0")));
+        if mean <= 0.0 || !mean.is_finite() {
+            return Err(ParamError::new(format!(
+                "exponential: mean {mean} not positive and finite"
+            )));
         }
-        Exponential::new(1.0 / mean)
+        Ok(Exponential { mean })
+    }
+
+    /// Samples a standard (rate 1) exponential with the ziggurat of
+    /// [`exponential_ziggurat`].
+    #[inline]
+    pub(crate) fn standard(rng: &mut Rng) -> f64 {
+        let zig = exponential_ziggurat();
+        // Each pass through the base strip's tail adds R: given X > R,
+        // X − R is again a standard exponential.
+        let mut offset = 0.0;
+        loop {
+            let bits = rng.next_u64();
+            let layer = (bits & 0xff) as usize;
+            let (outer, inner) = edges(&zig.x, layer);
+            let x = unit(bits) * outer;
+            if x < inner {
+                return offset + x;
+            }
+            if layer == 0 {
+                offset += zig.r;
+            } else if zig.under_curve(layer, x, rng, exponential_density) {
+                return offset + x;
+            }
+        }
     }
 }
 
 impl Distribution for Exponential {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        -(1.0 - rng.f64()).ln() / self.lambda
+        self.mean * Exponential::standard(rng)
     }
 
     fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.lambda)
+        Some(self.mean)
     }
+}
+
+/// Layers of a [`Ziggurat`]; the low 8 bits of a draw pick one.
+pub const LAYERS: usize = 256;
+
+/// A 256-layer ziggurat for a decreasing density `f` on `[0, ∞)`
+/// (Marsaglia & Tsang 2000), with `f(0) = 1`.
+///
+/// The region under `f` is covered by 255 stacked rectangles and a base
+/// strip, each of area `v`. Rectangle `i` (1 ≤ i ≤ 255) spans
+/// `[0, x[i]] × [f(x[i]), f(x[i + 1])]`; the base strip is
+/// `[0, r] × [0, f(r)]` plus the whole tail beyond `r`, which gives it the
+/// virtual width `x[0] = v / f(r)`. A draw picks a layer `i` uniformly and
+/// a point `u·x[i]` uniformly across it. The point is under the curve for
+/// certain when it lies left of `x[i + 1]`, 98–99 % of draws. Else
+/// it lies in the wedge between the curve and the rectangle's edge and is
+/// kept when a uniform height under the rectangle falls under `f`, or, in
+/// the base strip, it is replaced by a draw from the tail. Every point of
+/// the region is reached with equal density, so the kept point has
+/// exactly the law of `f`; only the tables' rounding separates the two.
+#[derive(Debug)]
+pub struct Ziggurat {
+    /// Where the base strip's rectangle ends and the tail begins.
+    pub r: f64,
+    /// The common area of the layers.
+    pub v: f64,
+    /// Layer edges: `x[0] = v / f(r)`, `x[1] = r`, decreasing to
+    /// `x[256] = 0`.
+    pub x: [f64; LAYERS + 1],
+    /// The density at each edge, `f(x[i])`, increasing to `f[256] = 1`.
+    pub f: [f64; LAYERS + 1],
+}
+
+impl Ziggurat {
+    /// Builds the layers from `r`, `v`, the density and its inverse:
+    /// `x[i + 1] = f⁻¹(f(x[i]) + v / x[i])` makes layer `i`'s area `v`.
+    fn build(r: f64, v: f64, density: fn(f64) -> f64, inverse: fn(f64) -> f64) -> Ziggurat {
+        let mut x = [0.0; LAYERS + 1];
+        let mut edge = r;
+        for (i, slot) in x.iter_mut().enumerate() {
+            *slot = match i {
+                0 => v / density(r),
+                1 => r,
+                LAYERS => 0.0,
+                _ => {
+                    edge = inverse(density(edge) + v / edge);
+                    edge
+                }
+            };
+        }
+        Ziggurat {
+            r,
+            v,
+            x,
+            f: x.map(density),
+        }
+    }
+
+    /// Whether a point at `x` in the wedge of `layer` (1 ≤ layer ≤ 255)
+    /// falls under the curve: a uniform height between the layer's lower
+    /// and upper density, against `f(x)`.
+    #[inline]
+    fn under_curve(&self, layer: usize, x: f64, rng: &mut Rng, density: fn(f64) -> f64) -> bool {
+        let (low, high) = edges(&self.f, layer);
+        low + (high - low) * rng.f64() < density(x)
+    }
+}
+
+/// `table[i]` and `table[i + 1]`, for a layer `i < 256`.
+#[inline]
+fn edges(table: &[f64; LAYERS + 1], i: usize) -> (f64, f64) {
+    match table.get(i..i + 2) {
+        Some(&[outer, inner]) => (outer, inner),
+        // Unreachable: every layer index is masked to 8 bits.
+        _ => (0.0, 0.0),
+    }
+}
+
+/// The top 53 bits of `bits` as a uniform `f64` in `[0, 1)`; the low 9
+/// bits pick the layer and the sign and stay independent of it.
+#[inline]
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+fn exponential_density(x: f64) -> f64 {
+    (-x).exp()
+}
+
+fn exponential_inverse(y: f64) -> f64 {
+    -y.ln()
+}
+
+/// The half-normal density, unnormalised so that `f(0) = 1`.
+fn normal_density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+fn normal_inverse(y: f64) -> f64 {
+    (-2.0 * y.ln()).sqrt()
+}
+
+/// The ziggurat of the standard exponential, `f(x) = e^−x`, built on
+/// first use. `r` is Marsaglia & Tsang's; `v = (r + 1)·e^−r`, the strip
+/// `r·f(r)` plus the tail `e^−r`.
+pub fn exponential_ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        Ziggurat::build(
+            7.697_117_470_131_05,
+            3.949_659_822_581_556e-3,
+            exponential_density,
+            exponential_inverse,
+        )
+    })
+}
+
+/// The ziggurat of the half-normal, `f(x) = e^(−x²/2)`, built on first
+/// use. `r` is Marsaglia & Tsang's; `v = r·f(r) + √(π/2)·erfc(r/√2)`, the
+/// strip plus the tail, evaluated in double precision.
+pub fn normal_ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        Ziggurat::build(
+            3.654_152_885_361_009,
+            4.928_673_233_974_658e-3,
+            normal_density,
+            normal_inverse,
+        )
+    })
 }
 
 /// Gamma distribution (shape `k`, scale `theta`), sampled with the

@@ -20,6 +20,9 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> benchmark smoke (each BENCHMARK.json workload for 1 s; its own checks must pass)"
 python3 scripts/bench_smoke
 
+echo "==> results/ snapshots: the six experiment binaries print them byte for byte"
+CARGO_NET_OFFLINE=true python3 scripts/check_results
+
 echo "==> rto-analyze (L1–L6, A1–A8)"
 # The warning-budget ratchets live in analyze.budget.toml and are
 # enforced by the rto-analyze runs below, which exit 2 on a missing or

@@ -106,8 +106,8 @@ fn idle_server_trials() {
     check(
         0.0,
         [
-            ((13_453, 0x0b28fde85847e033), (1_293, 0x1423d1dfb50ed416)),
-            ((13_348, 0x7e663c87386bfd3d), (1_319, 0x398636c8340f9b29)),
+            ((13_478, 0xedacca306fc02a97), (1_222, 0x7290c38025ec472d)),
+            ((13_338, 0xf55c08f74492bd76), (1_343, 0x91bd396184c31d1e)),
         ],
     );
 }
@@ -117,8 +117,8 @@ fn half_loaded_server_trials() {
     check(
         0.6,
         [
-            ((13_783, 0x4c8810a6c206299d), (1_318, 0xec2f045b2b2ce452)),
-            ((13_780, 0x66037c4f29b2d9b8), (1_295, 0xcb8b3ce5efa72f9d)),
+            ((13_479, 0x32e6342d91b826ee), (1_343, 0xfcec07de4c38ed1a)),
+            ((13_343, 0x2cb2b6c059337a60), (1_294, 0xd78de0f33ca1881f)),
         ],
     );
 }
@@ -128,8 +128,8 @@ fn overloaded_server_trials() {
     check(
         1.2,
         [
-            ((14_446, 0x2585d62a83c97490), (1_272, 0x3469dbc986d775da)),
-            ((14_440, 0x6d19aa52c00075fb), (1_175, 0x1d2140aedac4ef8a)),
+            ((14_429, 0x0889ab2d39368270), (1_247, 0x593781b99043dcd0)),
+            ((14_531, 0x093478ecc54ec3c3), (1_247, 0xbecbb33028dcbfb0)),
         ],
     );
 }
@@ -144,7 +144,7 @@ fn merged_shard_of_all_trials() {
     }
     assert_eq!(
         golden(merged.to_json().as_bytes()),
-        (3_012, 0x516cbc0bac4e3274)
+        (2_746, 0xfcdcf4662c3ebe09)
     );
 }
 
@@ -178,7 +178,7 @@ fn observed_matrix_of_the_load_grid() {
         text.push_str(&run.shard.to_json());
         assert_eq!(
             golden(text.as_bytes()),
-            (133_556, 0xc23a_3ad9_3833_92b7),
+            (133_694, 0x1ad2_4775_ed5f_a027),
             "jobs {jobs}"
         );
     }
