@@ -1,11 +1,12 @@
-//! The one command-line parser of the `rto-bench` binaries.
+//! The one command-line parser of the `rto-bench` binaries and of
+//! `rto-cli`'s subcommands.
 //!
-//! Each binary's command line is a [`Cli`] constant here: whether it
-//! takes a positional seed, the flags that take a value, and the
-//! switches. [`Cli::parse`] rejects an unknown flag, a valued flag
-//! without its value and a second positional, so a typo fails loudly
-//! instead of being read as the seed. The binaries that run on the
-//! `rto-exp` engine also take
+//! Each command line is a [`Cli`] constant here: what its one
+//! positional argument is (a seed, a file path or none), the flags that
+//! take a value, and the switches. [`Cli::parse`] rejects an unknown
+//! flag, a valued flag without its value and a second positional, so a
+//! typo fails loudly instead of being read as the seed or ignored. The
+//! binaries that run on the `rto-exp` engine also take
 //!
 //! * `--jobs N` — worker threads (`0` = one per core, the default; the
 //!   results never depend on this, only the wall clock does), and
@@ -16,11 +17,22 @@ use rto_exp::{default_cache_root, ExpOptions};
 use std::fmt::Display;
 use std::str::FromStr;
 
+/// What a command line's one positional argument is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Positional {
+    /// No positional: any is an error.
+    None,
+    /// An optional `u64` seed.
+    Seed,
+    /// A file path; the command decides whether it is required.
+    Path,
+}
+
 /// One binary's command-line shape.
 #[derive(Debug, Clone, Copy)]
 pub struct Cli {
-    /// Whether the binary takes a positional seed.
-    pub seed: bool,
+    /// What the positional argument is.
+    pub positional: Positional,
     /// Flags that consume the next argument as their value.
     pub valued: &'static [&'static str],
     /// Flags that take no value.
@@ -29,25 +41,25 @@ pub struct Cli {
 
 /// `ablation [seed] [--jobs N] [--cache]`
 pub const ABLATION: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &["--jobs"],
     switches: &["--cache"],
 };
 /// `figure2 [seed] [--json] [--jobs N] [--cache]`
 pub const FIGURE2: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &["--jobs"],
     switches: &["--json", "--cache"],
 };
 /// `figure3 [seed] [--seeds N] [--json] [--jobs N] [--cache]`
 pub const FIGURE3: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &["--jobs", "--seeds"],
     switches: &["--json", "--cache"],
 };
 /// `motivation [seed]`
 pub const MOTIVATION: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &[],
     switches: &[],
 };
@@ -55,38 +67,38 @@ pub const MOTIVATION: Cli = Cli {
 pub const SERVER_SWEEP: Cli = FIGURE2;
 /// `table1 [seed] [--json]`
 pub const TABLE1: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &[],
     switches: &["--json"],
 };
 /// `sweep_bench [seed] [--jobs N] [--seeds K] [--horizon H] [--out PATH]`
 pub const SWEEP_BENCH: Cli = Cli {
-    seed: true,
+    positional: Positional::Seed,
     valued: &["--jobs", "--seeds", "--horizon", "--out"],
     switches: &[],
 };
 /// `obs_bench [--events N] [--out PATH]`
 pub const OBS_BENCH: Cli = Cli {
-    seed: false,
+    positional: Positional::None,
     valued: &["--events", "--out"],
     switches: &[],
 };
 /// `sim_bench [--ops N] [--out PATH]`
 pub const SIM_BENCH: Cli = Cli {
-    seed: false,
+    positional: Positional::None,
     valued: &["--ops", "--out"],
     switches: &[],
 };
 
 /// `rto-cli sweep [--jobs N] [--seeds K] [--horizon S] [--seed B] [--cache] [--json]`
 pub const CLI_SWEEP: Cli = Cli {
-    seed: false,
+    positional: Positional::None,
     valued: &["--jobs", "--seeds", "--horizon", "--seed"],
     switches: &["--cache", "--json"],
 };
 /// `rto-cli serve-metrics [--addr H:P] [--linger-ms MS] [sweep flags]`
 pub const CLI_SERVE_METRICS: Cli = Cli {
-    seed: false,
+    positional: Positional::None,
     valued: &[
         "--jobs",
         "--seeds",
@@ -98,11 +110,32 @@ pub const CLI_SERVE_METRICS: Cli = Cli {
     switches: &["--cache", "--json"],
 };
 
+/// `rto-cli plan <file>` and `rto-cli analyze <file>`
+pub const CLI_FILE: Cli = Cli {
+    positional: Positional::Path,
+    valued: &[],
+    switches: &[],
+};
+/// `rto-cli simulate <file> [--gantt] [--trace-json <out>]`
+pub const CLI_SIMULATE: Cli = Cli {
+    positional: Positional::Path,
+    valued: &["--trace-json"],
+    switches: &["--gantt"],
+};
+/// `rto-cli trace <file> [--format chrome|jsonl] --out <path>`
+pub const CLI_TRACE: Cli = Cli {
+    positional: Positional::Path,
+    valued: &["--format", "--out"],
+    switches: &[],
+};
+
 /// A parsed command line.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The positional seed, when one was given.
     pub seed: Option<u64>,
+    /// The positional file path, when one was given.
+    pub path: Option<String>,
     values: Vec<(&'static str, String)>,
     switches: Vec<&'static str>,
 }
@@ -114,7 +147,7 @@ impl Cli {
     ///
     /// Returns a message for an unknown flag, a valued flag with no
     /// value after it, a seed that is not a `u64`, and a positional the
-    /// binary does not take.
+    /// command does not take.
     pub fn parse(&self, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut parsed = Args::default();
         let mut args = args.into_iter();
@@ -129,8 +162,10 @@ impl Cli {
                 parsed.switches.push(switch);
             } else if arg.starts_with("--") {
                 return Err(format!("unknown flag {arg}"));
-            } else if self.seed && parsed.seed.is_none() {
+            } else if self.positional == Positional::Seed && parsed.seed.is_none() {
                 parsed.seed = Some(arg.parse().map_err(|e| format!("seed {arg:?}: {e}"))?);
+            } else if self.positional == Positional::Path && parsed.path.is_none() {
+                parsed.path = Some(arg);
             } else {
                 return Err(format!("unexpected argument {arg:?}"));
             }
@@ -237,6 +272,15 @@ mod tests {
         assert!(parse(FIGURE2, &["1", "2"]).is_err());
         assert!(parse(OBS_BENCH, &["7"]).is_err());
         assert!(parse(TABLE1, &["seven"]).is_err());
+        assert!(parse(CLI_SIMULATE, &["a.json", "b.json"]).is_err());
+    }
+
+    #[test]
+    fn a_path_positional_is_kept_verbatim_and_never_a_seed() {
+        let a = parse(CLI_SIMULATE, &["--gantt", "7"]).expect("parses");
+        assert_eq!((a.path.as_deref(), a.seed), (Some("7"), None));
+        let a = parse(CLI_FILE, &[]).expect("parses");
+        assert_eq!(a.path, None);
     }
 
     #[test]

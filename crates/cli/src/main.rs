@@ -28,7 +28,9 @@ use commands::{
     ServeArgs, SweepArgs, TraceFormat,
 };
 use config::SystemConfig;
-use rto_bench::opts::{Args, CLI_SERVE_METRICS, CLI_SWEEP};
+use rto_bench::opts::{Args, CLI_FILE, CLI_SERVE_METRICS, CLI_SIMULATE, CLI_SWEEP, CLI_TRACE};
+use std::io::{ErrorKind, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rto-cli <demo | plan <file> | analyze <file> | simulate <file> [--gantt] [--trace-json <out>] | trace <file> [--format chrome|jsonl] --out <path> | sweep [--jobs N] [--seeds K] [--horizon S] [--seed B] [--cache] [--json] | serve-metrics [--addr H:P] [--linger-ms MS] [sweep flags]>";
@@ -58,63 +60,60 @@ fn serve_args(args: &Args) -> Result<ServeArgs, String> {
     })
 }
 
-fn load(path: &str) -> Result<SystemConfig, String> {
+/// The system configuration at the command line's file path.
+fn load(args: &Args) -> Result<SystemConfig, String> {
+    let path = args.path.as_deref().ok_or(USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     SystemConfig::from_json(&text)
 }
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = || args.iter().skip(1).cloned();
     match args.first().map(String::as_str) {
         Some("demo") => Ok(cmd_demo()),
-        Some("plan") => {
-            let path = args.get(1).ok_or(USAGE)?;
-            cmd_plan(&load(path)?)
-        }
-        Some("analyze") => {
-            let path = args.get(1).ok_or(USAGE)?;
-            cmd_analyze(&load(path)?)
-        }
+        Some("plan") => cmd_plan(&load(&CLI_FILE.parse(rest())?)?),
+        Some("analyze") => cmd_analyze(&load(&CLI_FILE.parse(rest())?)?),
         Some("simulate") => {
-            let path = args.get(1).ok_or(USAGE)?;
-            let gantt = args.iter().any(|a| a == "--gantt");
-            let trace_json = args
-                .iter()
-                .position(|a| a == "--trace-json")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            cmd_simulate(&load(path)?, gantt, trace_json)
+            let a = CLI_SIMULATE.parse(rest())?;
+            cmd_simulate(&load(&a)?, a.switch("--gantt"), a.value("--trace-json"))
         }
         Some("trace") => {
-            let path = args.get(1).ok_or(USAGE)?;
-            let format: TraceFormat = args
-                .iter()
-                .position(|a| a == "--format")
-                .and_then(|i| args.get(i + 1))
-                .map_or(Ok(TraceFormat::Chrome), |s| s.parse())?;
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .ok_or(USAGE)?;
-            cmd_trace(&load(path)?, format, std::path::Path::new(out))
+            let a = CLI_TRACE.parse(rest())?;
+            let (format, out) = trace_args(&a)?;
+            cmd_trace(&load(&a)?, format, Path::new(out))
         }
-        Some("sweep") => cmd_sweep(&sweep_args(
-            &CLI_SWEEP.parse(args.iter().skip(1).cloned())?,
-        )?),
-        Some("serve-metrics") => cmd_serve_metrics(&serve_args(
-            &CLI_SERVE_METRICS.parse(args.iter().skip(1).cloned())?,
-        )?),
+        Some("sweep") => cmd_sweep(&sweep_args(&CLI_SWEEP.parse(rest())?)?),
+        Some("serve-metrics") => cmd_serve_metrics(&serve_args(&CLI_SERVE_METRICS.parse(rest())?)?),
         _ => Err(USAGE.to_string()),
+    }
+}
+
+/// `trace`'s format (default Chrome) and its required output path.
+fn trace_args(args: &Args) -> Result<(TraceFormat, &str), String> {
+    let format = args
+        .value("--format")
+        .map_or(Ok(TraceFormat::Chrome), str::parse)?;
+    Ok((format, args.value("--out").ok_or(USAGE)?))
+}
+
+/// Writes the report and a newline to `out`. A reader that closed early
+/// (`BrokenPipe`) ends the run quietly with success; any other write
+/// error is one line on stderr and a failure.
+fn emit(out: &mut impl Write, report: &str) -> ExitCode {
+    match writeln!(out, "{report}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write the report: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
+        Ok(report) => emit(&mut std::io::stdout().lock(), &report),
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
@@ -169,6 +168,79 @@ mod tests {
             (a.sweep.seeds, a.sweep.horizon_secs, a.linger_ms),
             (2, 5, 8_000)
         );
+
+        let a = parse(CLI_FILE, "system.json").expect("parses");
+        assert_eq!(a.path.as_deref(), Some("system.json"));
+        let a = parse(CLI_SIMULATE, "system.json --gantt --trace-json trace.json").expect("parses");
+        assert_eq!(
+            (
+                a.path.as_deref(),
+                a.switch("--gantt"),
+                a.value("--trace-json")
+            ),
+            (Some("system.json"), true, Some("trace.json"))
+        );
+        let a = parse(CLI_SIMULATE, "system.json").expect("parses");
+        assert_eq!(
+            (a.switch("--gantt"), a.value("--trace-json")),
+            (false, None)
+        );
+        for (line, format, out) in [
+            (
+                "system.json --format chrome --out trace.json",
+                TraceFormat::Chrome,
+                "trace.json",
+            ),
+            (
+                "system.json --format jsonl --out trace.jsonl",
+                TraceFormat::Jsonl,
+                "trace.jsonl",
+            ),
+            ("--out t.json system.json", TraceFormat::Chrome, "t.json"),
+        ] {
+            let a = parse(CLI_TRACE, line).expect("parses");
+            assert_eq!(a.path.as_deref(), Some("system.json"), "{line}");
+            assert_eq!(trace_args(&a), Ok((format, out)), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_misspelt_simulate_or_trace_flag_is_an_error() {
+        let err = parse(CLI_SIMULATE, "system.json --gnatt").expect_err("--gnatt is not a flag");
+        assert_eq!(err, "unknown flag --gnatt");
+        assert!(parse(CLI_SIMULATE, "system.json --trace-json").is_err());
+        assert!(parse(CLI_TRACE, "system.json --fromat jsonl --out t.json").is_err());
+        assert!(parse(CLI_FILE, "system.json --gantt").is_err());
+        let a = parse(CLI_TRACE, "system.json --format jsonl").expect("parses");
+        assert_eq!(trace_args(&a), Err(USAGE.to_string()), "--out is required");
+    }
+
+    /// A writer that fails every write with `kind`.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_reader_ends_quietly_and_other_write_errors_fail() {
+        assert_eq!(
+            emit(&mut Failing(ErrorKind::BrokenPipe), "report"),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            emit(&mut Failing(ErrorKind::Other), "report"),
+            ExitCode::FAILURE
+        );
+        let mut out = Vec::new();
+        assert_eq!(emit(&mut out, "report"), ExitCode::SUCCESS);
+        assert_eq!(out, b"report\n");
     }
 
     #[test]

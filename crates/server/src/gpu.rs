@@ -313,6 +313,39 @@ impl OffloadServer for PerfectServer {
     }
 }
 
+/// A server that answers from a script — for checks that choose every
+/// answer: the k-th submission gets the k-th entry, `None` (lost) or
+/// `Some(delay)` (the answer arrives `delay` after the submission), and
+/// every submission past the end of the script is lost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScriptedServer {
+    script: Vec<Option<Duration>>,
+    submitted: usize,
+}
+
+impl ScriptedServer {
+    /// A server that plays `script` from its first entry.
+    pub fn new(script: Vec<Option<Duration>>) -> Self {
+        ScriptedServer {
+            script,
+            submitted: 0,
+        }
+    }
+}
+
+impl OffloadServer for ScriptedServer {
+    fn submit(&mut self, _request: &OffloadRequest, now: Instant) -> SubmitOutcome {
+        let answer = self.script.get(self.submitted).copied().flatten();
+        self.submitted = self.submitted.saturating_add(1);
+        match answer {
+            Some(delay) => SubmitOutcome::Response {
+                arrives_at: now + delay,
+            },
+            None => SubmitOutcome::Lost,
+        }
+    }
+}
+
 /// A server that never answers — total outage, for failure-injection
 /// tests: the client must meet every deadline purely through
 /// compensation.
@@ -632,6 +665,20 @@ mod tests {
             out.arrival(),
             Some(Instant::from_ns(100) + Duration::from_ms(5))
         );
+    }
+
+    #[test]
+    fn scripted_server_plays_its_script_then_loses() {
+        let ms = Duration::from_ms;
+        let mut s = ScriptedServer::new(vec![Some(ms(3)), None, Some(Duration::ZERO)]);
+        let arrivals: Vec<Option<Instant>> = (0..5)
+            .map(|k| {
+                s.submit(&OffloadRequest::new(0), Instant::ZERO + ms(10 * k))
+                    .arrival()
+            })
+            .collect();
+        let at = |v| Some(Instant::ZERO + ms(v));
+        assert_eq!(arrivals, vec![at(3), None, at(20), None, None]);
     }
 
     #[test]

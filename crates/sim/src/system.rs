@@ -372,7 +372,7 @@ impl Simulation {
             horizon: Instant::ZERO + config.horizon,
             clock: Instant::ZERO,
             events: EventQueue::with_capacity(event_cap),
-            ready_seq: 0,
+            partial: Vec::new(),
             jobs: Vec::with_capacity(jobs),
             job_task: Vec::with_capacity(jobs),
             subjobs: Vec::with_capacity(subjobs),
@@ -427,48 +427,25 @@ fn record_bounds(tasks: &[OdmTask], modes: &[Mode], horizon: Duration) -> (usize
     )
 }
 
-/// Ready-queue entry ordered by (policy priority key, release sequence).
+/// A ready-queue key: the policy's priority key in the high half and the
+/// sub-job's index into `Engine::subjobs` in the low half, so one `u128`
+/// compare orders by priority and then by index.
 ///
-/// Under EDF the key is the sub-job's absolute deadline; under
-/// deadline-monotonic it is the owning task's relative deadline (a static
-/// priority). `deadline` is kept for tracing regardless of policy.
-#[derive(Debug, Clone, Copy)]
-struct Ready {
-    priority_key: u64,
-    deadline: Instant,
-    seq: u64,
-    job_id: usize,
-    kind: SubJobKind,
-    remaining: Duration,
-    /// Whether the sub-job has already executed a slice.
-    started: bool,
+/// Under EDF the priority key is the sub-job's absolute deadline; under
+/// deadline-monotonic it is the owning task's relative deadline (a
+/// static priority). Sub-job indices are assigned in release order, so
+/// sub-jobs of equal priority run first-released first.
+fn ready_key(priority_key: u64, subjob: usize) -> u128 {
+    // `usize` is at most 64 bits on every target the sim supports.
+    u128::from(priority_key).wrapping_shl(64) | u128::from(subjob as u64)
 }
 
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority_key
-            .cmp(&other.priority_key)
-            .then(self.seq.cmp(&other.seq))
-    }
+/// The sub-job index of a [`ready_key`].
+fn subjob_of(key: u128) -> usize {
+    // The low half came from a `usize`; an index that did not fit would
+    // name no sub-job, and the run fails with an invariant error.
+    usize::try_from(key & u128::from(u64::MAX)).unwrap_or(usize::MAX)
 }
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-// Equality must agree with `Ord` (whose `Equal` is decided by
-// `(priority_key, seq)` alone), so it is implemented from the same keys
-// rather than derived over all fields — `seq` is unique per engine, so
-// distinct entries never compare equal anyway.
-impl PartialEq for Ready {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority_key == other.priority_key && self.seq == other.seq
-    }
-}
-
-impl Eq for Ready {}
 
 /// The running simulation state.
 struct Engine {
@@ -481,8 +458,14 @@ struct Engine {
     horizon: Instant,
     clock: Instant,
     events: EventQueue,
-    ready: BinaryHeap<Reverse<Ready>>,
-    ready_seq: u64,
+    /// Ready sub-jobs as min-ordered [`ready_key`]s. A sub-job's
+    /// deadline, job and kind are read from its `subjobs` log, and its
+    /// remaining work is its logged `work` unless `partial` holds it.
+    ready: BinaryHeap<Reverse<u128>>,
+    /// `(sub-job index, remaining work)` of each ready sub-job that has
+    /// run a slice without finishing. Only sub-jobs cut off by an event
+    /// or the horizon are here, so the table stays a few entries long.
+    partial: Vec<(usize, Duration)>,
     jobs: Vec<JobRecord>,
     /// The releasing task's index for each job, pushed in lockstep with
     /// `jobs`, so a job's task is one array read. Never serialized.
@@ -524,9 +507,18 @@ impl Engine {
                 self.handle_event(ev, t)?;
             }
             match self.ready.pop() {
-                Some(Reverse(mut entry)) => {
+                Some(Reverse(key)) => {
+                    let idx = subjob_of(key);
+                    let (job_id, kind, deadline, work) = match self.subjobs.get(idx) {
+                        Some(log) => (log.job_id, log.kind, log.abs_deadline, log.work),
+                        None => return Err(SimError::invariant("ready key names no sub-job")),
+                    };
+                    let remaining = match self.partial.iter().position(|&(i, _)| i == idx) {
+                        Some(at) => self.partial.swap_remove(at).1,
+                        None => work,
+                    };
                     let next_event = self.events.peek_time().unwrap_or(Instant::MAX);
-                    let completion = self.clock + entry.remaining;
+                    let completion = self.clock + remaining;
                     let run_until = completion.min(next_event).min(self.horizon);
                     if run_until <= self.clock {
                         // Ready entries always carry nonzero remaining
@@ -544,7 +536,7 @@ impl Engine {
                     // Trace the processor hand-off: close the previous
                     // span (a preemption, since it did not complete) and
                     // open one for this sub-job.
-                    let cur = (entry.job_id, entry.kind);
+                    let cur = (job_id, kind);
                     if self.running != Some(cur) {
                         if let Some((pj, pk)) = self.running.take() {
                             self.obs.emit_in(
@@ -558,16 +550,18 @@ impl Engine {
                             );
                             self.m.preemptions.inc();
                         }
-                        if entry.started {
+                        // A sub-job with work done opens another segment:
+                        // a resumption.
+                        if remaining < work {
                             self.preemptions += 1;
                         }
                         self.obs.emit_in(
                             self.clock.as_ns(),
-                            span::phase_ctx(entry.job_id, phase_of(entry.kind)),
+                            span::phase_ctx(job_id, phase_of(kind)),
                             TraceEvent::SubJobStarted {
-                                job_id: entry.job_id,
-                                task_id: self.jobs[entry.job_id].task_id.0,
-                                phase: phase_of(entry.kind),
+                                job_id,
+                                task_id: self.jobs[job_id].task_id.0,
+                                phase: phase_of(kind),
                             },
                         );
                         self.running = Some(cur);
@@ -577,27 +571,27 @@ impl Engine {
                     match self.trace.last_mut() {
                         Some(last)
                             if last.end == self.clock
-                                && last.job_id == entry.job_id
-                                && last.kind == entry.kind =>
+                                && last.job_id == job_id
+                                && last.kind == kind =>
                         {
                             last.end = run_until;
                         }
                         _ => self.trace.push(Segment {
                             start: self.clock,
                             end: run_until,
-                            job_id: entry.job_id,
-                            kind: entry.kind,
-                            abs_deadline: entry.deadline,
+                            job_id,
+                            kind,
+                            abs_deadline: deadline,
                         }),
                     }
-                    entry.remaining = entry.remaining.saturating_sub(executed);
+                    let remaining = remaining.saturating_sub(executed);
                     self.clock = run_until;
-                    if entry.remaining.is_zero() {
+                    if remaining.is_zero() {
                         self.running = None;
-                        self.complete_subjob(entry.job_id, entry.kind, self.clock)?;
+                        self.complete_subjob(job_id, kind, self.clock)?;
                     } else {
-                        entry.started = true;
-                        self.ready.push(Reverse(entry));
+                        self.partial.push((idx, remaining));
+                        self.ready.push(Reverse(key));
                     }
                     if self.clock >= self.horizon {
                         break;
@@ -787,12 +781,13 @@ impl Engine {
         deadline: Instant,
         now: Instant,
     ) -> Result<(), SimError> {
+        let idx = self.subjobs.len();
         if let Some(slot) = self
             .subjob_slot
             .get_mut(job_id)
             .and_then(|row| row.get_mut(kind.slot()))
         {
-            *slot = self.subjobs.len();
+            *slot = idx;
         }
         self.subjobs.push(SubJobLog {
             job_id,
@@ -814,7 +809,6 @@ impl Engine {
         if work.is_zero() {
             self.complete_subjob(job_id, kind, now)
         } else {
-            self.ready_seq += 1;
             let priority_key = match self.config.scheduler {
                 SchedulerPolicy::Edf => deadline.as_ns(),
                 SchedulerPolicy::DeadlineMonotonic => {
@@ -822,15 +816,7 @@ impl Engine {
                     self.tasks[task_index].task().deadline().as_ns()
                 }
             };
-            self.ready.push(Reverse(Ready {
-                priority_key,
-                deadline,
-                seq: self.ready_seq,
-                job_id,
-                kind,
-                remaining: work,
-                started: false,
-            }));
+            self.ready.push(Reverse(ready_key(priority_key, idx)));
             self.m.ready_queue_depth.record(self.ready.len() as u64);
             Ok(())
         }
@@ -880,7 +866,10 @@ impl Engine {
                 // Fire the offload request, then arm the timer. Enqueue
                 // order matters: a response arriving exactly at `R_i`
                 // must be processed before the timer (the manager accepts
-                // boundary results).
+                // boundary results). So a timer acts only when the answer
+                // is lost or arrives after `timer_at`; any other timer
+                // finds its job served, and is armed only for a sink,
+                // which records it as stale.
                 let task_index = self.task_index_of(job_id)?;
                 let level = match self.modes[task_index] {
                     Mode::Offload { level, .. } => level,
@@ -904,7 +893,8 @@ impl Engine {
                     },
                 );
                 self.m.offloads.inc();
-                match self.server.submit(&request, now).arrival() {
+                let arrival = self.server.submit(&request, now).arrival();
+                match arrival {
                     Some(arrives_at) => {
                         self.events
                             .push(arrives_at, Event::ServerResponse { job_id });
@@ -918,17 +908,19 @@ impl Engine {
                         self.m.requests_lost.inc();
                     }
                 }
-                self.obs.emit_in(
-                    now.as_ns(),
-                    span::timer_ctx(job_id),
-                    TraceEvent::CompensationTimerArmed {
-                        job_id,
-                        task_id,
-                        fires_at_ns: timer_at.as_ns(),
-                    },
-                );
-                self.events
-                    .push(timer_at, Event::CompensationTimer { job_id });
+                if arrival.is_none_or(|at| at > timer_at) || self.obs.tracing_enabled() {
+                    self.obs.emit_in(
+                        now.as_ns(),
+                        span::timer_ctx(job_id),
+                        TraceEvent::CompensationTimerArmed {
+                            job_id,
+                            task_id,
+                            fires_at_ns: timer_at.as_ns(),
+                        },
+                    );
+                    self.events
+                        .push(timer_at, Event::CompensationTimer { job_id });
+                }
             }
             SubJobKind::PostProcess | SubJobKind::Compensation => {
                 let job = &mut self.jobs[job_id];
@@ -1317,8 +1309,8 @@ mod tests {
     /// a typed invariant error. Before, it was only `debug_assert!`ed —
     /// a release build hitting it would spin forever making no
     /// progress. The engine is constructed directly with a corrupt
-    /// ready entry (zero remaining work) since no valid input can reach
-    /// the state.
+    /// ready sub-job (zero work) since no valid input can reach the
+    /// state.
     #[test]
     fn zero_length_step_is_an_error_not_a_hang() {
         let config = SimConfig::for_seconds(1, 0);
@@ -1335,7 +1327,7 @@ mod tests {
             clock: Instant::ZERO,
             events: EventQueue::new(),
             ready: BinaryHeap::new(),
-            ready_seq: 0,
+            partial: Vec::new(),
             jobs: Vec::new(),
             job_task: Vec::new(),
             subjobs: Vec::new(),
@@ -1350,15 +1342,15 @@ mod tests {
             running: None,
             running_end: Instant::ZERO,
         };
-        engine.ready.push(Reverse(Ready {
-            priority_key: 0,
-            deadline: Instant::ZERO,
-            seq: 1,
+        engine.subjobs.push(SubJobLog {
             job_id: 0,
             kind: SubJobKind::LocalWhole,
-            remaining: Duration::ZERO,
-            started: false,
-        }));
+            released_at: Instant::ZERO,
+            work: Duration::ZERO,
+            abs_deadline: Instant::ZERO,
+            completed_at: None,
+        });
+        engine.ready.push(Reverse(ready_key(0, 0)));
         let err = engine.run().unwrap_err();
         assert!(
             matches!(err, SimError::Invariant(ref msg) if msg.contains("zero-length")),
@@ -1366,35 +1358,72 @@ mod tests {
         );
     }
 
-    /// `Ready`'s equality must agree with its ordering keys
-    /// (`Ord` contract): same `(priority_key, seq)` means `Equal` *and*
-    /// `==`, regardless of the payload fields.
+    fn local_task(id: usize, c: u64, t: u64) -> OdmTask {
+        let task = Task::builder(id, format!("l{id}"))
+            .local_wcet(ms(c))
+            .period(ms(t))
+            .build()
+            .unwrap();
+        OdmTask::new(
+            task,
+            BenefitFunction::from_ms_points(&[(0.0, 1.0)]).unwrap(),
+        )
+    }
+
+    /// The ready queue orders by (priority key, sub-job index), under
+    /// both policies: sub-jobs of equal priority run in release order,
+    /// and a preempted sub-job resumes with exactly the work it has left.
     #[test]
-    fn ready_eq_agrees_with_ord() {
-        use std::cmp::Ordering;
-        let a = Ready {
-            priority_key: 10,
-            deadline: Instant::from_ns(10),
-            seq: 1,
-            job_id: 0,
-            kind: SubJobKind::Setup,
-            remaining: ms(1),
-            started: false,
-        };
-        let b = Ready {
-            priority_key: 10,
-            deadline: Instant::from_ns(99),
-            seq: 1,
-            job_id: 7,
-            kind: SubJobKind::Compensation,
-            remaining: ms(2),
-            started: true,
-        };
-        assert_eq!(a.cmp(&b), Ordering::Equal);
-        assert_eq!(a, b);
-        let c = Ready { seq: 2, ..a };
-        assert_eq!(a.cmp(&c), Ordering::Less);
-        assert_ne!(a, c);
+    fn ready_queue_runs_ties_in_release_order_and_resumes_remaining_work() {
+        for scheduler in [SchedulerPolicy::Edf, SchedulerPolicy::DeadlineMonotonic] {
+            // Three tasks with one deadline: every period releases three
+            // jobs of equal priority, which must run in job-id (release)
+            // order, whichever task comes first in the list.
+            for order in [[0, 1, 2], [2, 0, 1]] {
+                let costs = [10, 20, 5];
+                let tasks = order.map(|i| local_task(i, costs[i], 100)).to_vec();
+                let (tasks, plan) = plan_for(tasks);
+                let report = Simulation::build(tasks, plan)
+                    .unwrap()
+                    .run(SimConfig::for_seconds(1, 1).with_scheduler(scheduler))
+                    .unwrap();
+                assert_eq!(report.trace.len(), report.jobs.len(), "{scheduler:?}");
+                assert!(
+                    report.trace.windows(2).all(|w| w[0].job_id < w[1].job_id),
+                    "{scheduler:?} {order:?}: equal priorities out of release order"
+                );
+            }
+            // A short-deadline task preempts a long job twice per period;
+            // the long job's segments add up to its sampled work exactly,
+            // and it completes where its last segment ends.
+            let (tasks, plan) = plan_for(vec![local_task(0, 10, 30), local_task(1, 50, 200)]);
+            let report = Simulation::build(tasks, plan)
+                .unwrap()
+                .run(
+                    SimConfig::for_seconds(1, 3)
+                        .with_scheduler(scheduler)
+                        .with_exec_time(ExecutionTimeModel::UniformFraction { min_fraction: 0.9 }),
+                )
+                .unwrap();
+            assert_eq!(report.total_deadline_misses(), 0);
+            let mut resumptions = 0;
+            for log in &report.subjobs {
+                let segments: Vec<&Segment> = report
+                    .trace
+                    .iter()
+                    .filter(|s| s.job_id == log.job_id && s.kind == log.kind)
+                    .collect();
+                let ran = segments.iter().fold(Duration::ZERO, |acc, s| acc + s.len());
+                assert_eq!(ran, log.work, "{scheduler:?} job {}", log.job_id);
+                assert_eq!(log.completed_at, segments.last().map(|s| s.end));
+                resumptions += segments.len() - 1;
+            }
+            assert!(
+                resumptions >= 10,
+                "{scheduler:?}: {resumptions} resumptions"
+            );
+            assert_eq!(report.preemptions, resumptions, "{scheduler:?}");
+        }
     }
 
     /// The sampling contract lives in `sample` alone: zero demand stays
